@@ -21,7 +21,8 @@
 //
 // The TempoLz block-codec variant (off by default in TraceWriteOptions)
 // is measured alongside: its size and full-decode time land in the JSON
-// so the disk-versus-scan tradeoff stays visible.
+// so the disk-versus-scan tradeoff stays visible. The encode cost of all
+// three files (SerializeTrace, ns per record) is reported too, ungated.
 //
 // 8M records by default (TEMPO_QUICK=1 drops to 1M, TEMPO_SMOKE=1 to
 // 200k). Under TEMPO_SMOKE the two wall-clock/fraction gates report
@@ -135,6 +136,26 @@ std::vector<TraceRecord> GenerateTrace(size_t count,
     records.push_back(r);
   }
   return records;
+}
+
+// Serialises `records` with `options` and writes them to `path`. Returns
+// the serialisation time (the encoder alone, not the file write) in ns per
+// record, or a negative value when the file cannot be written.
+double WriteTimed(const std::string& path, const std::vector<TraceRecord>& records,
+                  const CallsiteRegistry& callsites, const TraceWriteOptions& options) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<uint8_t> bytes = SerializeTrace(records, callsites, options);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return -1;
+  }
+  const bool written = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  if (std::fclose(file) != 0 || !written) {
+    return -1;
+  }
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(records.size());
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -396,6 +417,9 @@ int main() {
   const std::string lz_path = "bench_trace_query_v3lz.trc";
   SimTime trace_begin = 0;
   SimTime trace_end = 0;
+  double v2_encode_ns = 0;
+  double v3_encode_ns = 0;
+  double lz_encode_ns = 0;
   {
     std::printf("generating synthetic trace...\n");
     auto records = GenerateTrace(record_count, sites);
@@ -404,21 +428,26 @@ int main() {
     TraceWriteOptions options;
     options.chunk_records = kChunkRecords;
     options.version = kTraceFileVersionChunked;
-    if (!WriteTraceFile(v2_path, records, callsites, options)) {
+    v2_encode_ns = WriteTimed(v2_path, records, callsites, options);
+    if (v2_encode_ns < 0) {
       std::fprintf(stderr, "error: cannot write %s\n", v2_path.c_str());
       return 1;
     }
     options.version = kTraceFileVersionColumnar;
-    if (!WriteTraceFile(v3_path, records, callsites, options)) {
+    v3_encode_ns = WriteTimed(v3_path, records, callsites, options);
+    if (v3_encode_ns < 0) {
       std::fprintf(stderr, "error: cannot write %s\n", v3_path.c_str());
       return 1;
     }
     options.block_codec = BlockCodecId::kTempoLz;
-    if (!WriteTraceFile(lz_path, records, callsites, options)) {
+    lz_encode_ns = WriteTimed(lz_path, records, callsites, options);
+    if (lz_encode_ns < 0) {
       std::fprintf(stderr, "error: cannot write %s\n", lz_path.c_str());
       return 1;
     }
   }  // the records vector dies here: everything below streams from disk
+  std::printf("encode: v2 %.1f ns/record, v3 %.1f, v3+lz %.1f\n", v2_encode_ns,
+              v3_encode_ns, lz_encode_ns);
 
   const uint64_t v2_bytes = FileBytes(v2_path);
   const uint64_t v3_bytes = FileBytes(v3_path);
@@ -544,6 +573,9 @@ int main() {
                  static_cast<unsigned long long>(v3_bytes));
     std::fprintf(json, "  \"v3_bytes_per_record\": %.3f,\n",
                  static_cast<double>(v3_bytes) / record_count);
+    std::fprintf(json, "  \"v2_encode_ns_per_record\": %.1f,\n", v2_encode_ns);
+    std::fprintf(json, "  \"v3_encode_ns_per_record\": %.1f,\n", v3_encode_ns);
+    std::fprintf(json, "  \"v3_lz_encode_ns_per_record\": %.1f,\n", lz_encode_ns);
     std::fprintf(json,
                  "  \"v3_lz\": {\"bytes\": %llu, \"bytes_per_record\": %.3f, "
                  "\"full_decode_millis\": %.1f},\n",

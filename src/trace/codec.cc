@@ -1,9 +1,9 @@
 #include "src/trace/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
 #include "src/trace/wire.h"
 
@@ -125,105 +125,239 @@ std::vector<TraceRecord> DecodeTrace(const std::vector<uint8_t>& bytes) {
 
 // ---------------------------------------------------------------------------
 // v3 stripe codecs.
+//
+// Codec choice is size-first: one pass over a lane computes the exact
+// encoded size under raw, varint, delta and RLE (a varint's length follows
+// from the value's bit width), the dictionary is built only while it can
+// still win, and then only the winner is written, straight into its final
+// place. The bytes are those of encoding the lane with every codec and
+// keeping the shortest, ties going to the lower codec id.
 
 namespace {
 
-void EncodeRaw(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
-  for (const uint64_t v : values) {
-    Put64(v, out);
-  }
+// Bytes in the LEB128 varint of `v`: one per started 7 bits, at least one.
+inline size_t VarintSize(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-void EncodeVarints(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
-  for (const uint64_t v : values) {
-    wire::PutVarint(v, out);
+inline uint8_t* WriteVarint(uint64_t v, uint8_t* p) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
   }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
 }
 
-void EncodeDeltaVarints(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
+inline uint8_t* Write32(uint32_t v, uint8_t* p) {
+  for (int i = 0; i < 4; ++i) {
+    *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return p;
+}
+
+inline uint8_t* Write64(uint64_t v, uint8_t* p) {
+  for (int i = 0; i < 8; ++i) {
+    *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return p;
+}
+
+constexpr size_t kStripeCodecCount = static_cast<size_t>(StripeCodec::kRle) + 1;
+constexpr size_t kTooLarge = ~size_t{0};
+
+// Exact stripe sizes under every codec but kDict, indexed by codec id.
+void SizeStripe(std::span<const uint64_t> values, size_t* sizes) {
+  size_t varint = 0;
+  size_t delta = 0;
+  size_t rle = 0;
   uint64_t prev = 0;
+  size_t run = 0;
   for (const uint64_t v : values) {
-    wire::PutVarint(wire::ZigZag(v - prev), out);
+    varint += VarintSize(v);
+    delta += VarintSize(wire::ZigZag(v - prev));
+    if (v != prev && run != 0) {
+      rle += VarintSize(prev) + VarintSize(run);
+      run = 0;
+    }
+    ++run;
     prev = v;
   }
+  if (run != 0) {
+    rle += VarintSize(prev) + VarintSize(run);
+  }
+  sizes[static_cast<size_t>(StripeCodec::kRaw)] = values.size() * 8;
+  sizes[static_cast<size_t>(StripeCodec::kVarint)] = varint;
+  sizes[static_cast<size_t>(StripeCodec::kDeltaVarint)] = delta;
+  sizes[static_cast<size_t>(StripeCodec::kDict)] = kTooLarge;
+  sizes[static_cast<size_t>(StripeCodec::kRle)] = rle;
 }
 
-void EncodeDict(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
-  // First-appearance order keeps the encoding deterministic for a given
-  // value sequence (streamed == buffered).
-  std::unordered_map<uint64_t, uint64_t> ids;
-  std::vector<uint64_t> dict;
-  std::vector<uint64_t> indexes;
-  indexes.reserve(values.size());
-  for (const uint64_t v : values) {
-    auto [it, inserted] = ids.emplace(v, dict.size());
-    if (inserted) {
-      dict.push_back(v);
-    }
-    indexes.push_back(it->second);
+// Builds the first-appearance dictionary of `values` into `s->dict` and
+// `s->indexes` and returns the exact kDict stripe size, or kTooLarge as
+// soon as that size must exceed `limit`. First-appearance order keeps the
+// encoding deterministic for a given value sequence (streamed ==
+// buffered). The hash table is linear-probed and left empty on return.
+size_t BuildDict(std::span<const uint64_t> values, size_t limit, V3EncodeScratch* s) {
+  const size_t n = values.size();
+  // At most half full: a table of at least 2n slots.
+  const size_t slots = std::bit_ceil(std::max<size_t>(2 * n, 2));
+  const int bits = std::countr_zero(slots);
+  const size_t mask = slots - 1;
+  if (s->table.size() < slots) {
+    s->table.assign(slots, 0);
   }
-  wire::PutVarint(dict.size(), out);
-  for (const uint64_t v : dict) {
-    wire::PutVarint(v, out);
-  }
-  for (const uint64_t i : indexes) {
-    wire::PutVarint(i, out);
-  }
-}
-
-void EncodeRle(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
+  s->dict.clear();
+  s->indexes.resize(n);
+  uint32_t* const table = s->table.data();
+  auto home = [bits](uint64_t v) {
+    return static_cast<size_t>((v * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+  };
+  // Every index takes at least one byte, and so does the entry count.
+  size_t size = n + 1;
   size_t i = 0;
-  while (i < values.size()) {
-    size_t run = 1;
-    while (i + run < values.size() && values[i + run] == values[i]) {
-      ++run;
+  for (; i < n && size <= limit; ++i) {
+    const uint64_t v = values[i];
+    size_t slot = home(v);
+    uint32_t id = 0;
+    for (;; slot = (slot + 1) & mask) {
+      if (table[slot] == 0) {
+        id = static_cast<uint32_t>(s->dict.size());
+        table[slot] = id + 1;
+        s->dict.push_back(v);
+        size += VarintSize(v);
+        break;
+      }
+      if (s->dict[table[slot] - 1] == v) {
+        id = table[slot] - 1;
+        break;
+      }
     }
-    wire::PutVarint(values[i], out);
-    wire::PutVarint(run, out);
-    i += run;
+    s->indexes[i] = id;
+    size += VarintSize(id) - 1;
   }
+  // Empty the table in reverse insertion order: each entry's probe path
+  // then still holds exactly the entries it passed when inserted.
+  for (size_t id = s->dict.size(); id-- > 0;) {
+    size_t slot = home(s->dict[id]);
+    while (table[slot] != id + 1) {
+      slot = (slot + 1) & mask;
+    }
+    table[slot] = 0;
+  }
+  if (i < n) {
+    return kTooLarge;
+  }
+  size += VarintSize(s->dict.size()) - 1;
+  return size <= limit ? size : kTooLarge;
+}
+
+// Picks the codec of the shortest stripe, ties to the lower codec id, and
+// stores its size in `*bytes`. When kDict wins, `s` holds its dictionary.
+StripeCodec ChooseStripeCodec(std::span<const uint64_t> values, V3EncodeScratch* s,
+                              size_t* bytes) {
+  size_t sizes[kStripeCodecCount];
+  SizeStripe(values, sizes);
+  size_t best = 0;
+  for (const StripeCodec codec : {StripeCodec::kVarint, StripeCodec::kDeltaVarint}) {
+    if (sizes[static_cast<size_t>(codec)] < sizes[best]) {
+      best = static_cast<size_t>(codec);
+    }
+  }
+  // The dictionary must beat the lower ids outright and at least tie RLE.
+  // It is never shorter than n + 2 bytes (count, one entry, one byte per
+  // index), so most lanes never build it.
+  const size_t rle = sizes[static_cast<size_t>(StripeCodec::kRle)];
+  if (values.size() + 2 < sizes[best] && values.size() + 2 <= rle) {
+    const size_t dict = BuildDict(values, std::min(sizes[best] - 1, rle), s);
+    if (dict != kTooLarge) {
+      sizes[static_cast<size_t>(StripeCodec::kDict)] = dict;
+      best = static_cast<size_t>(StripeCodec::kDict);
+    }
+  }
+  if (rle < sizes[best]) {
+    best = static_cast<size_t>(StripeCodec::kRle);
+  }
+  *bytes = sizes[best];
+  return static_cast<StripeCodec>(best);
+}
+
+// Writes `values` encoded as `codec` at `p` and returns the end. kDict
+// reads the dictionary BuildDict left in `s`.
+uint8_t* WriteStripe(std::span<const uint64_t> values, StripeCodec codec,
+                     const V3EncodeScratch& s, uint8_t* p) {
+  switch (codec) {
+    case StripeCodec::kRaw:
+      for (const uint64_t v : values) {
+        p = Write64(v, p);
+      }
+      break;
+    case StripeCodec::kVarint:
+      for (const uint64_t v : values) {
+        p = WriteVarint(v, p);
+      }
+      break;
+    case StripeCodec::kDeltaVarint: {
+      uint64_t prev = 0;
+      for (const uint64_t v : values) {
+        p = WriteVarint(wire::ZigZag(v - prev), p);
+        prev = v;
+      }
+      break;
+    }
+    case StripeCodec::kDict:
+      p = WriteVarint(s.dict.size(), p);
+      for (const uint64_t v : s.dict) {
+        p = WriteVarint(v, p);
+      }
+      for (size_t i = 0; i < values.size(); ++i) {
+        p = WriteVarint(s.indexes[i], p);
+      }
+      break;
+    case StripeCodec::kRle: {
+      size_t i = 0;
+      while (i < values.size()) {
+        size_t run = 1;
+        while (i + run < values.size() && values[i + run] == values[i]) {
+          ++run;
+        }
+        p = WriteVarint(values[i], p);
+        p = WriteVarint(run, p);
+        i += run;
+      }
+      break;
+    }
+  }
+  return p;
+}
+
+// Appends `values` encoded as `codec`, `bytes` long, to `out`.
+void AppendStripe(std::span<const uint64_t> values, StripeCodec codec, size_t bytes,
+                  const V3EncodeScratch& s, std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  WriteStripe(values, codec, s, out->data() + at);
 }
 
 }  // namespace
 
 void EncodeStripe(std::span<const uint64_t> values, StripeCodec codec,
                   std::vector<uint8_t>* out) {
-  switch (codec) {
-    case StripeCodec::kRaw:
-      EncodeRaw(values, out);
-      return;
-    case StripeCodec::kVarint:
-      EncodeVarints(values, out);
-      return;
-    case StripeCodec::kDeltaVarint:
-      EncodeDeltaVarints(values, out);
-      return;
-    case StripeCodec::kDict:
-      EncodeDict(values, out);
-      return;
-    case StripeCodec::kRle:
-      EncodeRle(values, out);
-      return;
+  V3EncodeScratch scratch;
+  size_t sizes[kStripeCodecCount];
+  SizeStripe(values, sizes);
+  if (codec == StripeCodec::kDict) {
+    sizes[static_cast<size_t>(StripeCodec::kDict)] = BuildDict(values, kTooLarge, &scratch);
   }
+  AppendStripe(values, codec, sizes[static_cast<size_t>(codec)], scratch, out);
 }
 
 StripeCodec EncodeStripeBest(std::span<const uint64_t> values, std::vector<uint8_t>* out) {
-  static constexpr StripeCodec kCandidates[] = {
-      StripeCodec::kRaw, StripeCodec::kVarint, StripeCodec::kDeltaVarint,
-      StripeCodec::kDict, StripeCodec::kRle};
-  StripeCodec best = StripeCodec::kRaw;
-  std::vector<uint8_t> best_bytes;
-  std::vector<uint8_t> scratch;
-  for (const StripeCodec codec : kCandidates) {
-    scratch.clear();
-    EncodeStripe(values, codec, &scratch);
-    if (codec == StripeCodec::kRaw || scratch.size() < best_bytes.size()) {
-      best = codec;
-      best_bytes.swap(scratch);
-    }
-  }
-  out->insert(out->end(), best_bytes.begin(), best_bytes.end());
-  return best;
+  V3EncodeScratch scratch;
+  size_t bytes = 0;
+  const StripeCodec codec = ChooseStripeCodec(values, &scratch, &bytes);
+  AppendStripe(values, codec, bytes, scratch, out);
+  return codec;
 }
 
 namespace {
@@ -478,7 +612,9 @@ class TempoLzCodec : public BlockCodec {
           literal_len > static_cast<size_t>(q_end - q)) {
         return false;
       }
-      std::memcpy(q, p, literal_len);
+      if (literal_len != 0) {  // q is null when raw_size is 0
+        std::memcpy(q, p, literal_len);
+      }
       p += literal_len;
       q += literal_len;
       if (p == end) {
@@ -594,61 +730,82 @@ uint64_t PidDigestBit(Pid pid) {
 }
 
 void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_codec,
-                   std::vector<uint8_t>* out, ChunkZone* zone) {
+                   std::vector<uint8_t>* out, ChunkZone* zone, V3EncodeScratch* scratch) {
+  V3EncodeScratch local;
+  if (scratch == nullptr) {
+    scratch = &local;
+  }
   // Columnar lanes, in the field order the decoder expects. Expiry is
   // quantised to 1.024 us exactly as the v2 row codec does, so the two
   // formats decode to identical records.
-  std::vector<uint64_t> lanes[kV3FieldCount];
-  for (auto& lane : lanes) {
-    lane.reserve(records.size());
+  const size_t n = records.size();
+  uint64_t* lanes[kV3FieldCount];
+  for (size_t f = 0; f < kV3FieldCount; ++f) {
+    scratch->lanes[f].resize(n);
+    lanes[f] = scratch->lanes[f].data();
   }
   ChunkZone z;
   z.valid = true;
   z.min_timestamp = records.empty() ? 0 : records.front().timestamp;
   z.max_timestamp = z.min_timestamp;
-  for (const TraceRecord& r : records) {
-    lanes[0].push_back(static_cast<uint64_t>(r.timestamp));
-    lanes[1].push_back(r.timer);
-    lanes[2].push_back(static_cast<uint64_t>(r.timeout));
-    lanes[3].push_back(static_cast<uint64_t>(r.expiry) >> 10);
-    lanes[4].push_back(r.callsite);
-    lanes[5].push_back(r.stack);
-    lanes[6].push_back(static_cast<uint16_t>(static_cast<int16_t>(r.pid)));
-    lanes[7].push_back(static_cast<uint16_t>(static_cast<int16_t>(r.tid)));
-    lanes[8].push_back(static_cast<uint8_t>(r.op));
-    lanes[9].push_back(r.flags);
+  for (size_t i = 0; i < n; ++i) {
+    const TraceRecord& r = records[i];
+    lanes[0][i] = static_cast<uint64_t>(r.timestamp);
+    lanes[1][i] = r.timer;
+    lanes[2][i] = static_cast<uint64_t>(r.timeout);
+    lanes[3][i] = static_cast<uint64_t>(r.expiry) >> 10;
+    lanes[4][i] = r.callsite;
+    lanes[5][i] = r.stack;
+    lanes[6][i] = static_cast<uint16_t>(static_cast<int16_t>(r.pid));
+    lanes[7][i] = static_cast<uint16_t>(static_cast<int16_t>(r.tid));
+    lanes[8][i] = static_cast<uint8_t>(r.op);
+    lanes[9][i] = r.flags;
     z.min_timestamp = std::min(z.min_timestamp, r.timestamp);
     z.max_timestamp = std::max(z.max_timestamp, r.timestamp);
     z.pid_digest |= PidDigestBit(r.pid);
     z.op_mask |= static_cast<uint8_t>(1u << static_cast<uint8_t>(r.op));
   }
 
-  std::vector<uint8_t> blob;
-  blob.reserve(records.size() * 16);
-  std::vector<uint8_t> stripe;
-  for (size_t f = 0; f < kV3FieldCount; ++f) {
-    stripe.clear();
-    const StripeCodec codec = EncodeStripeBest(lanes[f], &stripe);
-    blob.push_back(static_cast<uint8_t>(codec));
-    Put32(static_cast<uint32_t>(stripe.size()), &blob);
-    blob.insert(blob.end(), stripe.begin(), stripe.end());
+  // Stripes go straight into `out` behind a chunk header whose sizes are
+  // patched in at the end, or into the scratch blob when a block codec
+  // gets to compress them first.
+  const size_t head = out->size();
+  out->resize(head + kV3ChunkHeader);
+  const BlockCodec* codec = GetBlockCodec(block_codec);
+  std::vector<uint8_t>* blob = codec == nullptr ? out : &scratch->blob;
+  if (codec != nullptr) {
+    blob->clear();
   }
+  const size_t blob_start = blob->size();
+  for (size_t f = 0; f < kV3FieldCount; ++f) {
+    const std::span<const uint64_t> lane(lanes[f], n);
+    size_t bytes = 0;
+    const StripeCodec stripe_codec = ChooseStripeCodec(lane, scratch, &bytes);
+    const size_t at = blob->size();
+    blob->resize(at + 5 + bytes);
+    uint8_t* p = blob->data() + at;
+    *p++ = static_cast<uint8_t>(stripe_codec);
+    p = Write32(static_cast<uint32_t>(bytes), p);
+    WriteStripe(lane, stripe_codec, *scratch, p);
+  }
+  const size_t raw_bytes = blob->size() - blob_start;
 
   // Compress only when it actually shrinks the blob; the chunk header
   // records which codec the bytes ended up in.
   BlockCodecId used = BlockCodecId::kNone;
-  std::vector<uint8_t> packed;
-  if (const BlockCodec* codec = GetBlockCodec(block_codec); codec != nullptr) {
-    codec->Compress(blob.data(), blob.size(), &packed);
-    if (packed.size() < blob.size()) {
+  if (codec != nullptr) {
+    codec->Compress(blob->data(), raw_bytes, out);
+    if (out->size() - head - kV3ChunkHeader < raw_bytes) {
       used = block_codec;
+    } else {
+      out->resize(head + kV3ChunkHeader);
+      out->insert(out->end(), blob->begin(), blob->end());
     }
   }
-  const std::vector<uint8_t>& stored = used == BlockCodecId::kNone ? blob : packed;
-  out->push_back(static_cast<uint8_t>(used));
-  Put32(static_cast<uint32_t>(blob.size()), out);
-  Put32(static_cast<uint32_t>(stored.size()), out);
-  out->insert(out->end(), stored.begin(), stored.end());
+  uint8_t* header = out->data() + head;
+  header[0] = static_cast<uint8_t>(used);
+  Write32(static_cast<uint32_t>(raw_bytes), header + 1);
+  Write32(static_cast<uint32_t>(out->size() - head - kV3ChunkHeader), header + 5);
   if (zone != nullptr) {
     *zone = z;
   }

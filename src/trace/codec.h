@@ -56,8 +56,11 @@ enum class ChunkParse : uint8_t { kOk = 0, kTruncated = 1, kCorrupt = 2, kCodec 
 void EncodeStripe(std::span<const uint64_t> values, StripeCodec codec,
                   std::vector<uint8_t>* out);
 
-// Encodes `values` with every candidate codec and appends the smallest
-// (ties break toward the lower codec id). Returns the winner.
+// Appends `values` with the codec whose stripe comes out smallest (ties
+// break toward the lower codec id) and returns that codec. Selection is
+// size-first: exact sizes come from one pass over the values (the
+// dictionary is built only when it could still win), and only the winner
+// is encoded — the bytes are those of trial-encoding every candidate.
 StripeCodec EncodeStripeBest(std::span<const uint64_t> values, std::vector<uint8_t>* out);
 
 // Decodes exactly `count` values of a stripe encoded as `codec` from
@@ -108,10 +111,26 @@ struct ChunkZone {
 // the wire as 16-bit values, so the digest hashes that projection.
 uint64_t PidDigestBit(Pid pid);
 
+// Reusable scratch for EncodeV3Chunk, the encode-side twin of
+// V3DecodeScratch: a writer that keeps one allocates nothing per chunk
+// once the first chunk has sized it.
+struct V3EncodeScratch {
+  std::vector<uint64_t> lanes[10];         // one column per field
+  std::vector<uint8_t> blob;               // stripes awaiting block compression
+  std::vector<uint64_t> dict;              // kDict candidate: first-appearance values
+  std::vector<uint32_t> indexes;           // kDict candidate: one index per value
+  std::vector<uint32_t> table;             // value -> dict index + 1 (0 = empty)
+};
+
 // Encodes `records` as one self-contained v3 chunk (chunk header +
 // stripes, optionally block-compressed) appended to `out`; fills `zone`.
+// Each stripe gets the codec EncodeStripeBest picks: the smallest, ties
+// to the lower codec id, chosen from exact sizes and encoded once,
+// straight into `out` (or into the scratch blob when a block codec
+// compresses it). `scratch` may be null.
 void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_codec,
-                   std::vector<uint8_t>* out, ChunkZone* zone);
+                   std::vector<uint8_t>* out, ChunkZone* zone,
+                   V3EncodeScratch* scratch = nullptr);
 
 // Reusable scratch for DecodeV3Chunk so a streaming reader does not
 // reallocate per chunk.

@@ -176,5 +176,42 @@ TEST(IntegrationTest, ScatterMassMovesWithWorkloadCharacter) {
             cancel_mass_below_10pct(idle.records));
 }
 
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(IntegrationTest, V3TraceBytesMatchPinnedDigests) {
+  // FNV-1a of the whole v3 file for seeded two-minute study runs, with
+  // and without TempoLz. The encoder may get faster; the bytes it writes
+  // may not move, or every v3 file on disk changes meaning.
+  struct Pinned {
+    const char* name;
+    TraceRun (*run)(const WorkloadOptions&);
+    uint64_t plain;
+    uint64_t lz;
+  };
+  const Pinned cases[] = {
+      {"linux-webserver", RunLinuxWebserver, 0x0852d9509c50bdd2ull, 0xb47c259e8f3a2fa5ull},
+      {"vista-desktop", RunVistaDesktop, 0x124fbebec7bfb4bdull, 0xa88fbfcf550577dfull},
+  };
+  WorkloadOptions options;
+  options.duration = 2 * kMinute;
+  options.seed = 2008;
+  for (const Pinned& pinned : cases) {
+    TraceRun run = pinned.run(options);
+    TraceWriteOptions write;
+    write.version = kTraceFileVersionColumnar;
+    EXPECT_EQ(Fnv1a(SerializeTrace(run.records, run.callsites(), write)), pinned.plain)
+        << pinned.name;
+    write.block_codec = BlockCodecId::kTempoLz;
+    EXPECT_EQ(Fnv1a(SerializeTrace(run.records, run.callsites(), write)), pinned.lz)
+        << pinned.name << " + TempoLz";
+  }
+}
+
 }  // namespace
 }  // namespace tempo

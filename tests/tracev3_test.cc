@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <string>
+#include <unordered_map>
 
 #include "src/analysis/pipeline.h"
 #include "src/analysis/query.h"
@@ -148,6 +151,190 @@ TEST(TraceV3Test, StripeCodecsRoundTripRandomised) {
     // Best is never larger than raw.
     EXPECT_LE(best_bytes.size(), n * 8);
   }
+}
+
+// The stripe selection the v3 writer used to run, kept as the oracle for
+// the size-first EncodeStripeBest: encode the lane with every codec (with
+// these self-contained encoders), keep the shortest, ties to the lower id.
+std::vector<uint8_t> ReferenceEncode(const std::vector<uint64_t>& values,
+                                     StripeCodec codec) {
+  std::vector<uint8_t> out;
+  switch (codec) {
+    case StripeCodec::kRaw:
+      for (const uint64_t v : values) {
+        for (int i = 0; i < 8; ++i) {
+          out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        }
+      }
+      break;
+    case StripeCodec::kVarint:
+      for (const uint64_t v : values) {
+        wire::PutVarint(v, &out);
+      }
+      break;
+    case StripeCodec::kDeltaVarint: {
+      uint64_t prev = 0;
+      for (const uint64_t v : values) {
+        wire::PutVarint(wire::ZigZag(v - prev), &out);
+        prev = v;
+      }
+      break;
+    }
+    case StripeCodec::kDict: {
+      std::unordered_map<uint64_t, uint64_t> ids;
+      std::vector<uint64_t> dict;
+      std::vector<uint64_t> indexes;
+      for (const uint64_t v : values) {
+        auto [it, inserted] = ids.emplace(v, dict.size());
+        if (inserted) {
+          dict.push_back(v);
+        }
+        indexes.push_back(it->second);
+      }
+      wire::PutVarint(dict.size(), &out);
+      for (const uint64_t v : dict) {
+        wire::PutVarint(v, &out);
+      }
+      for (const uint64_t i : indexes) {
+        wire::PutVarint(i, &out);
+      }
+      break;
+    }
+    case StripeCodec::kRle:
+      for (size_t i = 0; i < values.size();) {
+        size_t run = 1;
+        while (i + run < values.size() && values[i + run] == values[i]) {
+          ++run;
+        }
+        wire::PutVarint(values[i], &out);
+        wire::PutVarint(run, &out);
+        i += run;
+      }
+      break;
+  }
+  return out;
+}
+
+struct ReferenceChoice {
+  StripeCodec codec = StripeCodec::kRaw;
+  std::vector<uint8_t> bytes;
+  size_t sizes[5] = {};  // by codec id
+};
+
+ReferenceChoice ReferenceEncodeBest(const std::vector<uint64_t>& values) {
+  ReferenceChoice best;
+  for (const StripeCodec codec : kAllStripeCodecs) {
+    std::vector<uint8_t> bytes = ReferenceEncode(values, codec);
+    best.sizes[static_cast<size_t>(codec)] = bytes.size();
+    if (codec == StripeCodec::kRaw || bytes.size() < best.bytes.size()) {
+      best.codec = codec;
+      best.bytes = std::move(bytes);
+    }
+  }
+  return best;
+}
+
+// EncodeStripeBest and EncodeStripe against the reference on one lane.
+void ExpectSameSelection(const std::vector<uint64_t>& values, const std::string& label) {
+  const ReferenceChoice want = ReferenceEncodeBest(values);
+  std::vector<uint8_t> got = {0xAB};  // appends after existing bytes
+  const StripeCodec codec = EncodeStripeBest(std::span<const uint64_t>(values), &got);
+  EXPECT_EQ(codec, want.codec) << label;
+  EXPECT_EQ(std::vector<uint8_t>(got.begin() + 1, got.end()), want.bytes) << label;
+  for (const StripeCodec each : kAllStripeCodecs) {
+    std::vector<uint8_t> bytes;
+    EncodeStripe(std::span<const uint64_t>(values), each, &bytes);
+    EXPECT_EQ(bytes, ReferenceEncode(values, each))
+        << label << " codec " << static_cast<int>(each);
+  }
+}
+
+TEST(TraceV3Test, StripeSelectionMatchesTrialEncoding) {
+  std::mt19937_64 rng(2008);
+  for (int round = 0; round < 200; ++round) {
+    const size_t n = round < 100 ? rng() % 200 : rng() % 5000;
+    std::vector<uint64_t> values(n);
+    const int shape = round % 5;
+    uint64_t acc = rng();
+    for (size_t i = 0; i < n; ++i) {
+      switch (shape) {
+        case 0:
+          values[i] = rng() >> (rng() % 64);
+          break;
+        case 1:
+          values[i] = rng() % (1 + round % 300);
+          break;
+        case 2:
+          values[i] = (i / (1 + round % 40)) % 3;
+          break;
+        case 3:
+          acc += rng() % 1000;
+          acc -= rng() % 1000;
+          values[i] = acc;
+          break;
+        default:
+          values[i] = i % 2 == 0 ? ~0ull : 0;
+      }
+    }
+    ExpectSameSelection(values, "round " + std::to_string(round));
+  }
+}
+
+TEST(TraceV3Test, StripeSelectionEdgeCases) {
+  ExpectSameSelection({}, "empty");
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{1} << 63, ~uint64_t{0}}) {
+    ExpectSameSelection({v}, "single " + std::to_string(v));
+  }
+
+  // 65536 distinct values, small and large: the dictionary table's
+  // largest load, and an early give-up on the large ones.
+  std::vector<uint64_t> distinct(65536);
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    distinct[i] = i;
+  }
+  std::shuffle(distinct.begin(), distinct.end(), std::mt19937_64(1));
+  ExpectSameSelection(distinct, "65536 distinct small");
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    distinct[i] = i * 0x9E3779B97F4A7C15ull;  // odd multiplier: still distinct
+  }
+  ExpectSameSelection(distinct, "65536 distinct large");
+
+  // Values >= 2^63 take 10-byte varints, as do their zig-zagged deltas.
+  std::mt19937_64 rng(63);
+  std::vector<uint64_t> high(300);
+  for (uint64_t& v : high) {
+    v = (uint64_t{1} << 63) | (rng() % 4);
+  }
+  ExpectSameSelection(high, "high bit, four values");
+  for (uint64_t& v : high) {
+    v = (uint64_t{1} << 63) | rng();
+  }
+  ExpectSameSelection(high, "high bit, random");
+
+  // Dict ties RLE: 15 alternating runs of five over {0, 2^62}. Both come
+  // to 86 bytes, below delta (194), varint (355) and raw (600); dict has
+  // the lower id.
+  std::vector<uint64_t> dict_rle;
+  for (size_t run = 0; run < 15; ++run) {
+    dict_rle.insert(dict_rle.end(), 5, run % 2 == 0 ? 0 : uint64_t{1} << 62);
+  }
+  const ReferenceChoice dict_tie = ReferenceEncodeBest(dict_rle);
+  ASSERT_EQ(dict_tie.sizes[static_cast<size_t>(StripeCodec::kDict)], 86u);
+  ASSERT_EQ(dict_tie.sizes[static_cast<size_t>(StripeCodec::kRle)], 86u);
+  ASSERT_EQ(dict_tie.codec, StripeCodec::kDict);
+  ExpectSameSelection(dict_rle, "dict ties rle");
+
+  // Varint ties delta: 1..100 is one byte per value either way (dict and
+  // RLE need two); varint has the lower id.
+  std::vector<uint64_t> ramp(100);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = i + 1;
+  }
+  const ReferenceChoice varint_tie = ReferenceEncodeBest(ramp);
+  ASSERT_EQ(varint_tie.sizes[static_cast<size_t>(StripeCodec::kVarint)], 100u);
+  ASSERT_EQ(varint_tie.sizes[static_cast<size_t>(StripeCodec::kDeltaVarint)], 100u);
+  ASSERT_EQ(varint_tie.codec, StripeCodec::kVarint);
+  ExpectSameSelection(ramp, "varint ties delta");
 }
 
 TEST(TraceV3Test, StripeSingleValueAndEmpty) {
