@@ -201,7 +201,7 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
   const std::vector<const Predicate*> predicates =
       passes.empty() ? std::vector<const Predicate*>{} : PushdownPredicates(passes);
   // Projection pushdown: on v3 traces the cursor decodes only the stripes
-  // some pass declared it reads (v1/v2 cursors ignore the mask).
+  // some pass declared it reads (v2 cursors ignore the mask).
   const uint16_t field_mask = UnionFields(passes);
 
   auto drain = [&reader, &predicates, field_mask](const std::pair<size_t, size_t>& range,

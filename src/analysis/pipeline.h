@@ -15,8 +15,8 @@
 // the trace is v3, a chunk whose zone map no pass may match is skipped
 // without being decoded — the passes never see its records, which is
 // sound because a declared predicate promises the result ignores them.
-// One pass with a null predicate pins every chunk, and v1/v2 chunks have
-// no zones, so pushdown silently degrades to full streaming.
+// One pass with a null predicate pins every chunk, and v2 chunks have no
+// zones, so pushdown silently degrades to full streaming.
 //
 // Observability: the runner publishes per-run counters to the global
 // obs registry (records/bytes/chunks fanned through the pipeline, worker

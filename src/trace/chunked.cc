@@ -1,30 +1,19 @@
 #include "src/trace/chunked.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <utility>
 
 #include "src/trace/wire.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TEMPO_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace tempo {
 
 namespace {
 
-constexpr size_t kMagicSize = sizeof(wire::kTraceMagic);
-// u64 footer offset + trailer magic.
-constexpr size_t kTrailerSize = 8 + kMagicSize;
-// Per v2 index entry: u64 chunk offset + u32 record count.
-constexpr size_t kIndexEntrySize = 12;
-// Per v3 index entry: u64 offset, u32 stored bytes, u32 records, then the
-// zone map (u64 min/max timestamp, u64 pid digest, u8 op mask).
-constexpr size_t kV3IndexEntrySize = 8 + 4 + 4 + 8 + 8 + 8 + 1;
 // Smallest possible v3 chunk: 9-byte chunk header + 10 stripes of at
 // least [u8 codec][u32 length] each.
 constexpr uint64_t kV3MinChunkBytes = 9 + 10 * 5;
@@ -34,14 +23,6 @@ std::nullopt_t Fail(TraceReadError reason, TraceReadError* error) {
     *error = reason;
   }
   return std::nullopt;
-}
-
-// Reads exactly `length` bytes at `offset` into `out`.
-bool ReadAt(std::FILE* file, uint64_t offset, size_t length, uint8_t* out) {
-  if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0) {
-    return false;
-  }
-  return std::fread(out, 1, length, file) == length;
 }
 
 TraceReadError ChunkParseError(ChunkParse parse) {
@@ -58,315 +39,180 @@ TraceReadError ChunkParseError(ChunkParse parse) {
   return TraceReadError::kCorrupt;
 }
 
+// Names the damage behind a v3 footer that failed its checks. The footer
+// sits after variable-sized chunks, so its place comes from walking the
+// 9-byte chunk headers (u8 codec, u32 raw bytes, u32 stored bytes) from
+// the payload start: a file shorter than its own chunks and footer claim
+// is truncated, anything else is corrupt.
+TraceReadError V3FooterDamage(std::span<const uint8_t> bytes, uint64_t payload_start,
+                              uint64_t chunk_count) {
+  uint64_t at = payload_start;
+  for (uint64_t c = 0; c < chunk_count; ++c) {
+    if (bytes.size() - at < 9) {
+      return TraceReadError::kTruncated;
+    }
+    at += 9 + uint64_t{wire::Get32(bytes.data() + at + 5)};
+    if (at > bytes.size()) {
+      return TraceReadError::kTruncated;
+    }
+  }
+  const uint64_t footer = 4 + chunk_count * wire::kV3IndexEntrySize + wire::kTrailerSize;
+  return bytes.size() - at < footer ? TraceReadError::kTruncated : TraceReadError::kCorrupt;
+}
+
 }  // namespace
 
-TraceChunkReader::MappedFile::~MappedFile() {
-#if TEMPO_HAVE_MMAP
-  if (data != nullptr && size > 0) {
-    ::munmap(const_cast<uint8_t*>(data), size);
+TraceChunkReader::FileBytes::~FileBytes() {
+  if (map != nullptr) {
+    ::munmap(const_cast<uint8_t*>(map), map_size);
   }
-#endif
 }
 
 std::optional<TraceChunkReader> TraceChunkReader::Open(const std::string& path,
                                                        TraceReadError* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     return Fail(TraceReadError::kIo, error);
   }
   struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{file};
-
-  if (std::fseek(file, 0, SEEK_END) != 0) {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     return Fail(TraceReadError::kIo, error);
   }
-  const long end = std::ftell(file);
-  if (end < 0) {
-    return Fail(TraceReadError::kIo, error);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(end);
+  const size_t size = static_cast<size_t>(st.st_size);
 
-  // The header (magic, version, call-site table, record count) has no
-  // length prefix, so read a window from the start and grow it until the
-  // table parses or the file is exhausted.
-  TraceChunkReader reader;
-  reader.path_ = path;
-  size_t window = std::min<uint64_t>(file_size, 64 * 1024);
-  std::vector<uint8_t> head;
-  uint64_t payload_start = 0;
-  for (;;) {
-    head.resize(window);
-    if (!ReadAt(file, 0, window, head.data())) {
-      return Fail(TraceReadError::kIo, error);
-    }
-    wire::Reader parse(head.data(), head.size());
-    const uint8_t* magic = parse.Raw(kMagicSize);
-    if (magic == nullptr ||
-        std::memcmp(magic, wire::kTraceMagic, kMagicSize) != 0) {
-      return Fail(TraceReadError::kMagic, error);
-    }
-    if (!parse.Read32(&reader.version_)) {
-      return Fail(TraceReadError::kTruncated, error);
-    }
-    if (reader.version_ != kTraceFileVersion &&
-        reader.version_ != kTraceFileVersionChunked &&
-        reader.version_ != kTraceFileVersionColumnar) {
-      return Fail(TraceReadError::kVersion, error);
-    }
-    reader.callsites_ = CallsiteRegistry();
-    const wire::TableParse table = wire::ReadCallsiteTable(&parse, &reader.callsites_);
-    if (table == wire::TableParse::kCorrupt) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-    uint32_t chunk_capacity = 0;
-    bool fixed_fields_ok = false;
-    if (table == wire::TableParse::kOk) {
-      fixed_fields_ok = parse.Read64(&reader.record_count_);
-      if (fixed_fields_ok && reader.version_ != kTraceFileVersion) {
-        fixed_fields_ok = parse.Read32(&chunk_capacity);
-      }
-    }
-    if (table == wire::TableParse::kTruncated || !fixed_fields_ok) {
-      if (window < file_size) {
-        window = std::min<uint64_t>(file_size, window * 2);
-        continue;  // header larger than the window — grow and reparse
-      }
-      return Fail(TraceReadError::kTruncated, error);
-    }
-    payload_start = parse.offset();
-
-    if (reader.version_ == kTraceFileVersionColumnar) {
-      // v3: the payload is variable-sized, so everything comes from the
-      // index footer; validate it for contiguity and record coverage.
-      if (chunk_capacity == 0) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-      const uint64_t chunk_count =
-          (reader.record_count_ + chunk_capacity - 1) / chunk_capacity;
-      if (chunk_count > file_size / kV3MinChunkBytes + 1) {
-        return Fail(TraceReadError::kTruncated, error);
-      }
-      const uint64_t tail_size = 4 + chunk_count * kV3IndexEntrySize + kTrailerSize;
-      if (file_size < payload_start + tail_size) {
-        return Fail(TraceReadError::kTruncated, error);
-      }
-      const uint64_t index_offset = file_size - tail_size;
-
-      uint8_t trailer[kTrailerSize];
-      if (!ReadAt(file, file_size - kTrailerSize, kTrailerSize, trailer)) {
+  auto file = std::make_shared<FileBytes>();
+  std::span<const uint8_t> bytes;
+  void* base = size > 0 ? ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0) : MAP_FAILED;
+  if (base != MAP_FAILED) {
+    file->map = static_cast<const uint8_t*>(base);
+    file->map_size = size;
+    bytes = std::span<const uint8_t>(file->map, size);
+  } else {
+    // Not mappable (or empty): one private copy serves every cursor.
+    file->copy.resize(size);
+    size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::read(fd, file->copy.data() + got, size - got);
+      if (n <= 0) {
         return Fail(TraceReadError::kIo, error);
       }
-      if (std::memcmp(trailer + 8, wire::kTraceIndexMagic, kMagicSize) != 0) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-      if (wire::Get64(trailer) != index_offset) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-
-      std::vector<uint8_t> index_bytes(4 + chunk_count * kV3IndexEntrySize);
-      if (!ReadAt(file, index_offset, index_bytes.size(), index_bytes.data())) {
-        return Fail(TraceReadError::kIo, error);
-      }
-      wire::Reader index(index_bytes.data(), index_bytes.size());
-      uint32_t indexed_chunks = 0;
-      index.Read32(&indexed_chunks);
-      if (indexed_chunks != chunk_count) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-      reader.chunks_.reserve(chunk_count);
-      uint64_t next_offset = payload_start;
-      for (uint64_t c = 0; c < chunk_count; ++c) {
-        ChunkRef chunk;
-        uint64_t min_ts = 0;
-        uint64_t max_ts = 0;
-        uint32_t stored = 0;
-        index.Read64(&chunk.offset);
-        index.Read32(&stored);
-        index.Read32(&chunk.records);
-        index.Read64(&min_ts);
-        index.Read64(&max_ts);
-        index.Read64(&chunk.zone.pid_digest);
-        const uint8_t* op_mask = index.Raw(1);
-        chunk.stored_bytes = stored;
-        chunk.zone.valid = true;
-        chunk.zone.min_timestamp = static_cast<SimTime>(min_ts);
-        chunk.zone.max_timestamp = static_cast<SimTime>(max_ts);
-        chunk.zone.op_mask = *op_mask;
-        const uint32_t expected_count =
-            c + 1 < chunk_count || reader.record_count_ % chunk_capacity == 0
-                ? chunk_capacity
-                : static_cast<uint32_t>(reader.record_count_ % chunk_capacity);
-        // Chunks must tile [payload_start, index_offset) exactly.
-        if (chunk.offset != next_offset || chunk.records != expected_count ||
-            chunk.stored_bytes < kV3MinChunkBytes ||
-            chunk.offset + chunk.stored_bytes > index_offset) {
-          return Fail(TraceReadError::kCorrupt, error);
-        }
-        next_offset = chunk.offset + chunk.stored_bytes;
-        reader.payload_bytes_ += chunk.stored_bytes;
-        reader.chunks_.push_back(chunk);
-      }
-      if (next_offset != index_offset) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-      break;
+      got += static_cast<size_t>(n);
     }
-
-    if (reader.record_count_ > file_size / kEncodedRecordSize) {
-      return Fail(TraceReadError::kTruncated, error);
-    }
-    const uint64_t payload_bytes = reader.record_count_ * kEncodedRecordSize;
-    reader.payload_bytes_ = payload_bytes;
-
-    if (reader.version_ == kTraceFileVersion) {
-      // v1 has no index: records are contiguous and fixed width, so chunk
-      // boundaries are synthesized at the default capacity.
-      if (file_size < payload_start + payload_bytes) {
-        return Fail(TraceReadError::kTruncated, error);
-      }
-      for (uint64_t first = 0; first < reader.record_count_;
-           first += kDefaultChunkRecords) {
-        const uint64_t take =
-            std::min<uint64_t>(kDefaultChunkRecords, reader.record_count_ - first);
-        reader.chunks_.push_back(
-            ChunkRef{payload_start + first * kEncodedRecordSize,
-                     static_cast<uint32_t>(take), take * kEncodedRecordSize,
-                     ChunkZone{}});
-      }
-      break;
-    }
-
-    // v2: validate the index footer against the header-derived layout.
-    if (chunk_capacity == 0) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-    const uint64_t chunk_count =
-        (reader.record_count_ + chunk_capacity - 1) / chunk_capacity;
-    const uint64_t index_offset = payload_start + payload_bytes;
-    const uint64_t expected_size =
-        index_offset + 4 + chunk_count * kIndexEntrySize + kTrailerSize;
-    if (file_size < expected_size) {
-      return Fail(TraceReadError::kTruncated, error);
-    }
-    if (file_size != expected_size) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-
-    uint8_t trailer[kTrailerSize];
-    if (!ReadAt(file, file_size - kTrailerSize, kTrailerSize, trailer)) {
-      return Fail(TraceReadError::kIo, error);
-    }
-    if (std::memcmp(trailer + 8, wire::kTraceIndexMagic, kMagicSize) != 0 ||
-        wire::Get64(trailer) != index_offset) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-
-    std::vector<uint8_t> index_bytes(4 + chunk_count * kIndexEntrySize);
-    if (!ReadAt(file, index_offset, index_bytes.size(), index_bytes.data())) {
-      return Fail(TraceReadError::kIo, error);
-    }
-    wire::Reader index(index_bytes.data(), index_bytes.size());
-    uint32_t indexed_chunks = 0;
-    index.Read32(&indexed_chunks);
-    if (indexed_chunks != chunk_count) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-    reader.chunks_.reserve(chunk_count);
-    for (uint64_t c = 0; c < chunk_count; ++c) {
-      uint64_t offset = 0;
-      uint32_t count = 0;
-      index.Read64(&offset);
-      index.Read32(&count);
-      const uint32_t expected_count =
-          c + 1 < chunk_count || reader.record_count_ % chunk_capacity == 0
-              ? chunk_capacity
-              : static_cast<uint32_t>(reader.record_count_ % chunk_capacity);
-      if (offset != payload_start + c * uint64_t{chunk_capacity} * kEncodedRecordSize ||
-          count != expected_count) {
-        return Fail(TraceReadError::kCorrupt, error);
-      }
-      reader.chunks_.push_back(ChunkRef{offset, count,
-                                        uint64_t{count} * kEncodedRecordSize,
-                                        ChunkZone{}});
-    }
-    break;
+    bytes = std::span<const uint8_t>(file->copy);
   }
 
-#if TEMPO_HAVE_MMAP
-  // Map the validated file read-only so cursors decode straight from the
-  // page cache. Failure is not an error — cursors fall back to stdio.
-  if (file_size > 0) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* base = ::mmap(nullptr, file_size, PROT_READ, MAP_SHARED, fd, 0);
-      ::close(fd);
-      if (base != MAP_FAILED) {
-        auto map = std::make_shared<MappedFile>();
-        map->data = static_cast<const uint8_t*>(base);
-        map->size = file_size;
-        reader.map_ = std::move(map);
-      }
-    }
+  std::optional<TraceChunkReader> reader = Parse(bytes, error);
+  if (reader.has_value()) {
+    reader->file_ = std::move(file);
   }
-#endif
   return reader;
 }
 
-TraceChunkReader::Cursor::Cursor(const TraceChunkReader* reader) : reader_(reader) {
-  if (reader->map_ == nullptr) {
-    file_ = std::fopen(reader->path_.c_str(), "rb");
-    if (file_ == nullptr) {
-      failed_ = true;
-      error_ = TraceReadError::kIo;
+std::optional<TraceChunkReader> TraceChunkReader::Parse(std::span<const uint8_t> bytes,
+                                                        TraceReadError* error) {
+  TraceChunkReader reader;
+  reader.bytes_ = bytes;
+  wire::Reader parse(bytes.data(), bytes.size());
+  const uint8_t* magic = parse.Raw(wire::kMagicSize);
+  if (magic == nullptr || std::memcmp(magic, wire::kTraceMagic, wire::kMagicSize) != 0) {
+    return Fail(TraceReadError::kMagic, error);
+  }
+  uint32_t& version = reader.version_;
+  if (!parse.Read32(&version)) {
+    return Fail(TraceReadError::kTruncated, error);
+  }
+  if (!wire::IsTraceVersion(version)) {
+    return Fail(TraceReadError::kVersion, error);
+  }
+  switch (wire::ReadCallsiteTable(&parse, &reader.callsites_)) {
+    case wire::TableParse::kOk:
+      break;
+    case wire::TableParse::kTruncated:
+      return Fail(TraceReadError::kTruncated, error);
+    case wire::TableParse::kCorrupt:
+      return Fail(TraceReadError::kCorrupt, error);
+  }
+  uint64_t& record_count = reader.record_count_;
+  uint32_t capacity = 0;
+  if (!parse.Read64(&record_count) || !parse.Read32(&capacity)) {
+    return Fail(TraceReadError::kTruncated, error);
+  }
+  if (capacity == 0) {
+    return Fail(TraceReadError::kCorrupt, error);
+  }
+  const uint64_t payload_start = parse.offset();
+  const uint64_t chunk_count = record_count / capacity + (record_count % capacity != 0);
+  const bool columnar = version == kTraceFileVersionColumnar;
+  // Bound the counts by the file size before any arithmetic with them.
+  if (columnar ? chunk_count > bytes.size() / kV3MinChunkBytes + 1
+               : record_count > bytes.size() / kEncodedRecordSize) {
+    return Fail(TraceReadError::kTruncated, error);
+  }
+  const uint64_t footer_size =
+      4 + chunk_count * wire::IndexEntrySize(version) + wire::kTrailerSize;
+
+  // Where the index footer starts. A v2 payload is fixed width, so the
+  // header alone fixes the file size; a v3 payload is variable-sized, so
+  // the footer is whatever the file ends with.
+  uint64_t index_offset = 0;
+  if (columnar) {
+    if (bytes.size() < payload_start + footer_size) {
+      return Fail(TraceReadError::kTruncated, error);
+    }
+    index_offset = bytes.size() - footer_size;
+  } else {
+    index_offset = payload_start + record_count * kEncodedRecordSize;
+    if (bytes.size() < index_offset + footer_size) {
+      return Fail(TraceReadError::kTruncated, error);
+    }
+    if (bytes.size() != index_offset + footer_size) {
+      return Fail(TraceReadError::kCorrupt, error);
     }
   }
-}
+  const auto footer_damaged = [&] {
+    return Fail(columnar ? V3FooterDamage(bytes, payload_start, chunk_count)
+                         : TraceReadError::kCorrupt,
+                error);
+  };
 
-TraceChunkReader::Cursor::~Cursor() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
+  // The footer must point at itself, count every chunk, and its entries
+  // must tile [payload_start, index_offset) exactly, with every chunk but
+  // the last holding `capacity` records.
+  const uint8_t* trailer = bytes.data() + bytes.size() - wire::kTrailerSize;
+  const uint8_t* index = bytes.data() + index_offset;
+  if (std::memcmp(trailer + 8, wire::kTraceIndexMagic, wire::kMagicSize) != 0 ||
+      wire::Get64(trailer) != index_offset || wire::Get32(index) != chunk_count) {
+    return footer_damaged();
   }
-}
-
-TraceChunkReader::Cursor::Cursor(Cursor&& other) noexcept
-    : reader_(other.reader_),
-      file_(std::exchange(other.file_, nullptr)),
-      raw_(std::move(other.raw_)),
-      decoded_(std::move(other.decoded_)),
-      scratch_(std::move(other.scratch_)),
-      last_mask_(other.last_mask_),
-      failed_(other.failed_),
-      error_(other.error_) {}
-
-TraceChunkReader::Cursor& TraceChunkReader::Cursor::operator=(Cursor&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) {
-      std::fclose(file_);
+  reader.chunks_.reserve(chunk_count);
+  uint64_t next_offset = payload_start;
+  for (uint64_t c = 0; c < chunk_count; ++c) {
+    const wire::IndexEntry entry =
+        wire::GetIndexEntry(version, index + 4 + c * wire::IndexEntrySize(version));
+    const ChunkRef chunk{entry.offset, entry.records,
+                         columnar ? entry.stored : uint64_t{entry.records} * kEncodedRecordSize,
+                         entry.zone};
+    const uint32_t expected_records =
+        c + 1 < chunk_count || record_count % capacity == 0
+            ? capacity
+            : static_cast<uint32_t>(record_count % capacity);
+    if (chunk.offset != next_offset || chunk.records != expected_records ||
+        (columnar && chunk.stored_bytes < kV3MinChunkBytes) ||
+        chunk.stored_bytes > index_offset - chunk.offset) {
+      return footer_damaged();
     }
-    reader_ = other.reader_;
-    file_ = std::exchange(other.file_, nullptr);
-    raw_ = std::move(other.raw_);
-    decoded_ = std::move(other.decoded_);
-    scratch_ = std::move(other.scratch_);
-    last_mask_ = other.last_mask_;
-    failed_ = other.failed_;
-    error_ = other.error_;
+    next_offset += chunk.stored_bytes;
+    reader.payload_bytes_ += chunk.stored_bytes;
+    reader.chunks_.push_back(chunk);
   }
-  return *this;
-}
-
-const uint8_t* TraceChunkReader::Cursor::ChunkBytes(const ChunkRef& chunk) {
-  if (reader_->map_ != nullptr) {
-    // Open validated that every chunk lies inside the file.
-    return reader_->map_->data + chunk.offset;
+  if (next_offset != index_offset) {
+    return footer_damaged();
   }
-  raw_.resize(static_cast<size_t>(chunk.stored_bytes));
-  if (!ReadAt(file_, chunk.offset, raw_.size(), raw_.data())) {
-    return nullptr;
-  }
-  return raw_.data();
+  return reader;
 }
 
 std::span<const TraceRecord> TraceChunkReader::Cursor::Read(size_t index,
@@ -376,12 +222,8 @@ std::span<const TraceRecord> TraceChunkReader::Cursor::Read(size_t index,
     return {};
   }
   const ChunkRef& chunk = reader_->chunks_[index];
-  const uint8_t* bytes = ChunkBytes(chunk);
-  if (bytes == nullptr) {
-    failed_ = true;
-    error_ = TraceReadError::kIo;
-    return {};
-  }
+  // Parse validated that every chunk lies inside the bytes.
+  const uint8_t* bytes = reader_->bytes_.data() + chunk.offset;
   if (reader_->version_ == kTraceFileVersionColumnar) {
     // Recycle the row buffer when the previous decode left every field
     // outside this mask at its default (same record count, and the

@@ -1,32 +1,28 @@
 // Streaming access to trace files, chunk by chunk.
 //
-// TraceChunkReader opens a trace file, parses only the header (call-site
-// table) and the chunk index, and then hands out fixed-size batches of
-// decoded records on demand — the whole trace is never materialized. For
-// chunked v2 and columnar v3 files the index comes from the footer; v1
-// files have no index, but their records are contiguous and fixed width,
-// so the reader synthesizes chunk boundaries arithmetically and serves
-// them the same way. Consumers therefore never care which version is on
-// disk. v3 index entries additionally carry each chunk's zone map
-// (ChunkRef::zone), which predicate-carrying consumers use to skip
-// chunks without decoding them.
+// TraceChunkReader is the one parser of the trace-file layout (file.h):
+// it validates the header (call-site table) and the index footer, and then
+// hands out fixed-size batches of decoded records on demand — the whole
+// trace is never materialized. v3 index entries additionally carry each
+// chunk's zone map (ChunkRef::zone), which predicate-carrying consumers use
+// to skip chunks without decoding them. ReadTraceFile and DeserializeTrace
+// are this reader plus a loop over every chunk.
 //
-// Read path: Open memory-maps the file read-only when the platform
-// allows it, so cursors decode straight out of the page cache with no
-// read syscalls or staging copies; when mapping fails (or on platforms
-// without mmap) each cursor falls back to a private stdio handle.
+// Read path: the reader parses one contiguous byte view of the whole file.
+// Open memory-maps the file read-only, so cursors decode straight out of
+// the page cache with no read syscalls or staging copies; when mapping
+// fails it reads the file into one private buffer instead. Parse views
+// bytes the caller already holds.
 //
 // Concurrency model: the reader itself is immutable after Open and safe
 // to share across threads. Each worker thread creates its own Cursor,
-// which owns a private decode buffer (and file handle in the fallback
-// path); Cursor::Read seeks to any chunk in any order, so N workers can
-// stream disjoint chunk ranges in parallel (this is what
-// analysis/pipeline.h does).
+// which owns a private decode buffer over the shared bytes; Cursor::Read
+// serves any chunk in any order, so N workers can stream disjoint chunk
+// ranges in parallel (this is what analysis/pipeline.h does).
 
 #ifndef TEMPO_SRC_TRACE_CHUNKED_H_
 #define TEMPO_SRC_TRACE_CHUNKED_H_
 
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <span>
@@ -42,7 +38,7 @@ namespace tempo {
 class TraceChunkReader {
  public:
   // One chunk's location on disk. `stored_bytes` is the chunk's on-disk
-  // footprint (fixed records * 48 for v1/v2, the compressed size for v3);
+  // footprint (fixed records * 48 for v2, the compressed size for v3);
   // `zone` is valid only for v3 chunks.
   struct ChunkRef {
     uint64_t offset = 0;  // absolute file offset of the chunk
@@ -56,39 +52,37 @@ class TraceChunkReader {
   static std::optional<TraceChunkReader> Open(const std::string& path,
                                               TraceReadError* error = nullptr);
 
+  // As Open, over a whole trace file already in memory. The reader and its
+  // cursors view `bytes` in place, so `bytes` must outlive them.
+  static std::optional<TraceChunkReader> Parse(std::span<const uint8_t> bytes,
+                                               TraceReadError* error = nullptr);
+
   uint32_t version() const { return version_; }
   uint64_t record_count() const { return record_count_; }
   size_t chunk_count() const { return chunks_.size(); }
   const ChunkRef& chunk(size_t index) const { return chunks_[index]; }
   const CallsiteRegistry& callsites() const { return callsites_; }
-  const std::string& path() const { return path_; }
   // Total on-disk bytes of all record chunks (excludes header and index).
   uint64_t payload_bytes() const { return payload_bytes_; }
-  // True when reads go through a shared memory map instead of stdio.
-  bool mapped() const { return map_ != nullptr; }
+  // True when Open memory-mapped the file.
+  bool mapped() const { return file_ != nullptr && file_->map != nullptr; }
 
-  // A per-thread read position: private decode buffer, plus a private
-  // file handle when the file is not memory-mapped. Spans returned by
-  // Read are valid until the next Read on the same cursor (or its
-  // destruction).
+  // A per-thread read position with a private decode buffer. Spans
+  // returned by Read are valid until the next Read on the same cursor (or
+  // its destruction).
   class Cursor {
    public:
-    explicit Cursor(const TraceChunkReader* reader);
-    ~Cursor();
-    Cursor(Cursor&& other) noexcept;
-    Cursor& operator=(Cursor&& other) noexcept;
-    Cursor(const Cursor&) = delete;
-    Cursor& operator=(const Cursor&) = delete;
+    explicit Cursor(const TraceChunkReader* reader) : reader_(reader) {}
 
-    // Decodes chunk `index`. Returns an empty span and sets error() on
-    // I/O failure or a corrupt record; an empty trace has no chunks, so
-    // an empty result always means failure.
+    // Decodes chunk `index`. Returns an empty span and sets error() on a
+    // corrupt chunk or an index out of range; an empty trace has no
+    // chunks, so an empty result always means failure.
     std::span<const TraceRecord> Read(size_t index) { return Read(index, kAllTraceFields); }
 
     // As Read(index), but decodes only the fields in `field_mask`
     // (projection pushdown). On v3 files the unselected stripes are
     // skipped, not decoded, and the corresponding record fields come
-    // back default-initialised; v1/v2 rows are fixed width, so the mask
+    // back default-initialised; v2 rows are fixed width, so the mask
     // is ignored and every field is populated — consumers must treat
     // extra populated fields as allowed, not guaranteed.
     std::span<const TraceRecord> Read(size_t index, uint16_t field_mask);
@@ -97,12 +91,7 @@ class TraceChunkReader {
     TraceReadError error() const { return error_; }
 
    private:
-    // The chunk's stored bytes, from the map or read via file_ into raw_.
-    const uint8_t* ChunkBytes(const ChunkRef& chunk);
-
     const TraceChunkReader* reader_;
-    std::FILE* file_ = nullptr;
-    std::vector<uint8_t> raw_;
     std::vector<TraceRecord> decoded_;
     V3DecodeScratch scratch_;
     // Field mask of the last successful v3 decode, or kAllTraceFields+1
@@ -118,22 +107,28 @@ class TraceChunkReader {
   Cursor MakeCursor() const { return Cursor(this); }
 
  private:
-  // A read-only memory map of the whole file, shared by all cursors.
-  struct MappedFile {
-    const uint8_t* data = nullptr;
-    size_t size = 0;
-    ~MappedFile();
+  // The bytes Open loaded: a read-only memory map of the whole file, or
+  // a private copy when mapping failed.
+  struct FileBytes {
+    FileBytes() = default;
+    FileBytes(const FileBytes&) = delete;
+    FileBytes& operator=(const FileBytes&) = delete;
+    ~FileBytes();
+
+    const uint8_t* map = nullptr;
+    size_t map_size = 0;
+    std::vector<uint8_t> copy;
   };
 
   TraceChunkReader() = default;
 
-  std::string path_;
   uint32_t version_ = 0;
   uint64_t record_count_ = 0;
   uint64_t payload_bytes_ = 0;
   std::vector<ChunkRef> chunks_;
   CallsiteRegistry callsites_;
-  std::shared_ptr<const MappedFile> map_;
+  std::span<const uint8_t> bytes_;          // the whole file, shared by all cursors
+  std::shared_ptr<const FileBytes> file_;  // owns bytes_ after Open; null after Parse
 };
 
 }  // namespace tempo

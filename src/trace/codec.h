@@ -100,11 +100,13 @@ const BlockCodec* GetBlockCodec(BlockCodecId id);
 // Zone map of one chunk, stored in the v3 index footer so queries can skip
 // the chunk without decoding it. All fields are conservative summaries.
 struct ChunkZone {
-  bool valid = false;       // false: no zone (v1/v2 chunk) — never skip
+  bool valid = false;       // false: no zone (v2 chunk) — never skip
   SimTime min_timestamp = 0;
   SimTime max_timestamp = 0;
   uint64_t pid_digest = 0;  // 64-bit bloom over the pids present
   uint8_t op_mask = 0;      // bit (1 << op) set when the op occurs
+
+  bool operator==(const ChunkZone&) const = default;
 };
 
 // The digest bit a pid contributes to ChunkZone::pid_digest. Pids travel

@@ -6,25 +6,22 @@
 // tools/trace2txt | tools/tracestat, or ReadTraceFile back into the
 // analysis pipeline.
 //
-// Two on-disk layouts share one header (little endian):
+// Two on-disk layouts share one header and one footer shape (little
+// endian; src/trace/wire.h writes and parses both):
 //
-//   v1 (monolithic):
-//     "TEMPOTRC" magic, u32 version = 1
+//   header:
+//     "TEMPOTRC" magic, u32 version (2 or 3)
 //     u32 callsite count, then per call-site: u32 id, u32 parent,
 //         u16 name length, name bytes
-//     u64 record count, then the codec.h fixed-width records.
+//     u64 record count, u32 chunk capacity (records per full chunk)
 //
 //   v2 (chunked):
-//     "TEMPOTRC" magic, u32 version = 2
-//     call-site table as in v1
-//     u64 record count, u32 chunk capacity (records per full chunk)
-//     chunks of codec.h records, every chunk `capacity` records except a
-//         shorter final one
+//     chunks of codec.h fixed-width records, every chunk `capacity`
+//         records except a shorter final one
 //     index footer: u32 chunk count, then per chunk u64 file offset +
 //         u32 record count; u64 footer offset; "TEMPOIDX" trailer magic.
 //
 //   v3 (columnar, compressed):
-//     header as in v2 but version = 3
 //     self-describing columnar chunks (codec.h EncodeV3Chunk): one stripe
 //         per record field, per-stripe codec ids, optional block
 //         compression — chunks are variable-sized on disk
@@ -33,10 +30,12 @@
 //         timestamp, u64 pid digest, u8 op mask); u64 footer offset;
 //         "TEMPOIDX" trailer magic.
 //
-// The index footer lets TraceChunkReader (chunked.h) hand out chunks to
-// parallel workers without materializing the whole trace; the v3 zone maps
-// additionally let predicate-carrying consumers skip chunks without
-// decoding them. ReadTraceFile keeps reading v1 and v2 files unchanged.
+// TraceChunkReader (chunked.h) is the one parser of both: it validates the
+// header and the index footer and hands out chunks to parallel workers
+// without materializing the whole trace; the v3 zone maps additionally let
+// predicate-carrying consumers skip chunks without decoding them.
+// ReadTraceFile and DeserializeTrace are that reader plus a loop that
+// decodes every chunk.
 
 #ifndef TEMPO_SRC_TRACE_FILE_H_
 #define TEMPO_SRC_TRACE_FILE_H_
@@ -50,7 +49,6 @@
 
 namespace tempo {
 
-inline constexpr uint32_t kTraceFileVersion = 1;
 inline constexpr uint32_t kTraceFileVersionChunked = 2;
 inline constexpr uint32_t kTraceFileVersionColumnar = 3;
 
@@ -98,18 +96,21 @@ struct TraceWriteOptions {
 };
 
 // Writes records + call-site table to `path` (chunked v2 by default).
-// Returns false on I/O error.
+// Returns false, writing nothing, when `options.version` is neither 2 nor
+// 3; false on I/O error.
 bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& records,
                     const CallsiteRegistry& callsites,
                     const TraceWriteOptions& options = {});
 
-// Reads a trace file of either version; nullopt on failure, with the
-// reason in `*error` when given.
+// Reads a v2 or v3 trace file; nullopt on failure, with the reason in
+// `*error` when given. A v3 chunk whose decoded records contradict its
+// index entry's zone map is corrupt.
 std::optional<LoadedTrace> ReadTraceFile(const std::string& path,
                                          TraceReadError* error = nullptr);
 
 // In-memory (de)serialisation, used by the file functions and directly
-// testable without touching disk.
+// testable without touching disk. SerializeTrace returns no bytes for a
+// version other than 2 or 3.
 std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
                                     const CallsiteRegistry& callsites,
                                     const TraceWriteOptions& options = {});

@@ -54,7 +54,7 @@ struct Predicate {
   }
 
   // Could any record in a chunk with this zone match? Conservative: an
-  // invalid zone (v1/v2 chunk, no index metadata) always may match.
+  // invalid zone (v2 chunk, no zone map) always may match.
   bool MayMatch(const ChunkZone& zone) const {
     if (!zone.valid) {
       return true;

@@ -1,13 +1,10 @@
 #include "src/trace/stream_writer.h"
 
-#include <cstring>
-
 #include "src/trace/wire.h"
 
 namespace tempo {
 
 namespace {
-constexpr size_t kMagicSize = sizeof(wire::kTraceMagic);
 constexpr size_t kCopyBlock = size_t{1} << 16;
 }  // namespace
 
@@ -20,7 +17,7 @@ TraceStreamWriter::TraceStreamWriter(std::string path,
       version_(options.version),
       capacity_(options.chunk_records > 0 ? options.chunk_records : 1),
       block_codec_(options.block_codec) {
-  if (version_ != kTraceFileVersionChunked && version_ != kTraceFileVersionColumnar) {
+  if (!wire::IsTraceVersion(version_)) {
     ok_ = false;
     return;
   }
@@ -59,7 +56,7 @@ void TraceStreamWriter::FlushChunk() {
   if (chunk_records_ == 0) {
     return;
   }
-  IndexEntry entry;
+  wire::IndexEntry entry;
   entry.offset = spill_bytes_;
   entry.records = chunk_records_;
   if (version_ == kTraceFileVersionColumnar) {
@@ -68,7 +65,7 @@ void TraceStreamWriter::FlushChunk() {
                   block_codec_, &chunk_, &entry.zone, &encode_scratch_);
     pending_.clear();
   }
-  entry.stored = chunk_.size();
+  entry.stored = static_cast<uint32_t>(chunk_.size());
   index_.push_back(entry);
   if (std::fwrite(chunk_.data(), 1, chunk_.size(), spill_) != chunk_.size()) {
     FailAndCleanup();
@@ -93,35 +90,18 @@ bool TraceStreamWriter::Close() {
     return false;
   }
 
-  // Everything that precedes the chunks in the chunked layouts is now known.
-  std::vector<uint8_t> header(kMagicSize);
-  std::memcpy(header.data(), wire::kTraceMagic, kMagicSize);
-  wire::Put32(version_, &header);
-  wire::PutCallsiteTable(*callsites_, &header);
-  wire::Put64(records_, &header);
-  wire::Put32(capacity_, &header);
+  // Everything that precedes the chunks is now known.
+  std::vector<uint8_t> header;
+  wire::PutTraceHeader(version_, *callsites_, records_, capacity_, &header);
   const uint64_t header_size = header.size();
 
-  // The footer's offsets are spill-relative until rebased past the header —
+  // The index offsets are spill-relative until rebased past the header —
   // this is what makes the result byte-identical to SerializeTrace.
-  std::vector<uint8_t> footer;
-  wire::Put32(static_cast<uint32_t>(index_.size()), &footer);
-  for (const IndexEntry& entry : index_) {
-    wire::Put64(header_size + entry.offset, &footer);
-    if (version_ == kTraceFileVersionColumnar) {
-      wire::Put32(static_cast<uint32_t>(entry.stored), &footer);
-    }
-    wire::Put32(entry.records, &footer);
-    if (version_ == kTraceFileVersionColumnar) {
-      wire::Put64(static_cast<uint64_t>(entry.zone.min_timestamp), &footer);
-      wire::Put64(static_cast<uint64_t>(entry.zone.max_timestamp), &footer);
-      wire::Put64(entry.zone.pid_digest, &footer);
-      footer.push_back(entry.zone.op_mask);
-    }
+  for (wire::IndexEntry& entry : index_) {
+    entry.offset += header_size;
   }
-  wire::Put64(header_size + spill_bytes_, &footer);
-  footer.insert(footer.end(), wire::kTraceIndexMagic,
-                wire::kTraceIndexMagic + kMagicSize);
+  std::vector<uint8_t> footer;
+  wire::PutIndexFooter(version_, index_, header_size + spill_bytes_, &footer);
 
   bool ok = std::fclose(spill_) == 0;
   spill_ = nullptr;

@@ -32,6 +32,7 @@
 
 #include "src/trace/callsite.h"
 #include "src/trace/file.h"
+#include "src/trace/wire.h"
 
 namespace tempo {
 
@@ -39,8 +40,8 @@ class TraceStreamWriter {
  public:
   // Starts a streamed v2 or v3 trace at `path`. The registry is read at
   // Close(), so call sites may still be interned while recording; it must
-  // outlive the writer. `options.version` must be a chunked version (v1
-  // has no index and gains nothing from streaming).
+  // outlive the writer. Any `options.version` other than 2 or 3 fails
+  // the writer.
   TraceStreamWriter(std::string path, const CallsiteRegistry* callsites,
                     const TraceWriteOptions& options = {});
   ~TraceStreamWriter();
@@ -63,15 +64,6 @@ class TraceStreamWriter {
   void FlushChunk();
   void FailAndCleanup();
 
-  // One flushed chunk's index-footer entry (offsets spill-relative until
-  // Close rebases them past the header).
-  struct IndexEntry {
-    uint64_t offset = 0;
-    uint64_t stored = 0;
-    uint32_t records = 0;
-    ChunkZone zone;
-  };
-
   std::string path_;
   std::string spill_path_;
   const CallsiteRegistry* callsites_;
@@ -85,7 +77,9 @@ class TraceStreamWriter {
   V3EncodeScratch encode_scratch_;       // reused by every v3 chunk
   uint32_t chunk_records_ = 0;           // records in the open chunk
   uint64_t spill_bytes_ = 0;             // bytes already flushed to the spill
-  std::vector<IndexEntry> index_;
+  // One index-footer entry per flushed chunk; offsets stay spill-relative
+  // until Close rebases them past the header.
+  std::vector<wire::IndexEntry> index_;
   uint64_t records_ = 0;
   bool ok_ = true;
   bool closed_ = false;

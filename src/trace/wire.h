@@ -1,27 +1,32 @@
 // Little-endian wire helpers shared by the trace-file formats.
 //
-// Both the monolithic v1 layout and the chunked v2 layout (file.h,
-// chunked.h) are built from the same primitives: fixed-width LE integers,
-// length-prefixed strings, and the call-site table encoding. Keeping them
-// here means the two parsers cannot drift apart.
+// The chunked v2 and columnar v3 layouts (file.h) are built from the same
+// primitives: fixed-width LE integers, length-prefixed strings, the
+// call-site table, the header before the chunks and the index footer after
+// them. The writers (SerializeTrace, TraceStreamWriter) and the one parser
+// (TraceChunkReader) all take the layout from here, so they cannot drift
+// apart.
 
 #ifndef TEMPO_SRC_TRACE_WIRE_H_
 #define TEMPO_SRC_TRACE_WIRE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/trace/callsite.h"
+#include "src/trace/codec.h"
+#include "src/trace/file.h"
 
 namespace tempo {
 namespace wire {
 
-// File magics shared by file.cc (whole-buffer parse) and chunked.cc
-// (streaming parse).
+// File magics: the header's, and the trailer's after the index footer.
 inline constexpr char kTraceMagic[8] = {'T', 'E', 'M', 'P', 'O', 'T', 'R', 'C'};
 inline constexpr char kTraceIndexMagic[8] = {'T', 'E', 'M', 'P', 'O', 'I', 'D', 'X'};
+inline constexpr size_t kMagicSize = sizeof(kTraceMagic);
 
 inline void Put16(uint16_t v, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(v));
@@ -195,6 +200,90 @@ inline TableParse ReadCallsiteTable(Reader* reader, CallsiteRegistry* registry) 
     }
   }
   return TableParse::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// Trace-file layout (file.h): the header before the chunks and the index
+// footer after them.
+
+// The versions a trace file may carry: chunked v2 and columnar v3.
+inline bool IsTraceVersion(uint32_t version) {
+  return version == kTraceFileVersionChunked || version == kTraceFileVersionColumnar;
+}
+
+// u64 footer offset + trailer magic.
+inline constexpr size_t kTrailerSize = 8 + kMagicSize;
+// Per v2 index entry: u64 chunk offset + u32 record count.
+inline constexpr size_t kV2IndexEntrySize = 8 + 4;
+// Per v3 index entry: u64 offset, u32 stored bytes, u32 records, then the
+// zone map (u64 min/max timestamp, u64 pid digest, u8 op mask).
+inline constexpr size_t kV3IndexEntrySize = 8 + 4 + 4 + 8 + 8 + 8 + 1;
+
+inline size_t IndexEntrySize(uint32_t version) {
+  return version == kTraceFileVersionColumnar ? kV3IndexEntrySize : kV2IndexEntrySize;
+}
+
+// One chunk's index-footer entry; `stored` and `zone` exist on disk in v3
+// only (a v2 chunk is `records` fixed-width rows).
+struct IndexEntry {
+  uint64_t offset = 0;  // absolute file offset of the chunk
+  uint32_t stored = 0;
+  uint32_t records = 0;
+  ChunkZone zone;
+};
+
+// Appends everything before the chunks: magic, u32 version, call-site
+// table, u64 record count, u32 chunk capacity.
+inline void PutTraceHeader(uint32_t version, const CallsiteRegistry& callsites,
+                           uint64_t records, uint32_t capacity, std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + kMagicSize);
+  std::memcpy(out->data() + at, kTraceMagic, kMagicSize);
+  Put32(version, out);
+  PutCallsiteTable(callsites, out);
+  Put64(records, out);
+  Put32(capacity, out);
+}
+
+// Appends the index footer of chunks ending at file offset `index_offset`:
+// u32 chunk count, the entries, u64 footer offset, trailer magic.
+inline void PutIndexFooter(uint32_t version, std::span<const IndexEntry> index,
+                           uint64_t index_offset, std::vector<uint8_t>* out) {
+  const bool columnar = version == kTraceFileVersionColumnar;
+  Put32(static_cast<uint32_t>(index.size()), out);
+  for (const IndexEntry& entry : index) {
+    Put64(entry.offset, out);
+    if (columnar) {
+      Put32(entry.stored, out);
+    }
+    Put32(entry.records, out);
+    if (columnar) {
+      Put64(static_cast<uint64_t>(entry.zone.min_timestamp), out);
+      Put64(static_cast<uint64_t>(entry.zone.max_timestamp), out);
+      Put64(entry.zone.pid_digest, out);
+      out->push_back(entry.zone.op_mask);
+    }
+  }
+  Put64(index_offset, out);
+  out->insert(out->end(), kTraceIndexMagic, kTraceIndexMagic + kMagicSize);
+}
+
+// Parses the IndexEntrySize(version) bytes at `p` written by PutIndexFooter.
+inline IndexEntry GetIndexEntry(uint32_t version, const uint8_t* p) {
+  IndexEntry entry;
+  entry.offset = Get64(p);
+  if (version != kTraceFileVersionColumnar) {
+    entry.records = Get32(p + 8);
+    return entry;
+  }
+  entry.stored = Get32(p + 8);
+  entry.records = Get32(p + 12);
+  entry.zone.valid = true;
+  entry.zone.min_timestamp = static_cast<SimTime>(Get64(p + 16));
+  entry.zone.max_timestamp = static_cast<SimTime>(Get64(p + 24));
+  entry.zone.pid_digest = Get64(p + 32);
+  entry.zone.op_mask = p[40];
+  return entry;
 }
 
 }  // namespace wire

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "src/analysis/summary.h"
 #include "src/trace/chunked.h"
 #include "src/trace/file.h"
+#include "src/trace/wire.h"
 
 namespace tempo {
 namespace {
@@ -291,11 +293,12 @@ TEST_F(PipelineFileTest, StreamedFileMatchesSerialReadOfTheSameFile) {
   TraceWriteOptions v2;
   v2.chunk_records = 173;  // uneven final chunk
   const std::string v2_path = WriteTempTrace(records, callsites, v2, "v2");
-  TraceWriteOptions v1;
-  v1.version = kTraceFileVersion;
-  const std::string v1_path = WriteTempTrace(records, callsites, v1, "v1");
+  TraceWriteOptions v3;
+  v3.version = kTraceFileVersionColumnar;
+  v3.chunk_records = 211;
+  const std::string v3_path = WriteTempTrace(records, callsites, v3, "v3");
 
-  for (const std::string& path : {v2_path, v1_path}) {
+  for (const std::string& path : {v2_path, v3_path}) {
     // The reference is a serial pass over the records as decoded from this
     // very file (the codec quantises the redundant expiry field on disk,
     // so comparing against the pre-serialisation records would conflate
@@ -316,9 +319,7 @@ TEST_F(PipelineFileTest, StreamedFileMatchesSerialReadOfTheSameFile) {
         << path << ": " << TraceReadErrorName(error);
     ExpectSameSections(expected, RenderAll(passes), path);
     EXPECT_EQ(runner.stats().records, records.size());
-    // v2 has 173-record chunks (parallel); the v1 fallback synthesizes
-    // kDefaultChunkRecords-sized chunks, so 5000 records fit in one.
-    EXPECT_EQ(runner.stats().jobs, path == v2_path ? 4u : 1u);
+    EXPECT_EQ(runner.stats().jobs, 4u);
   }
 }
 
@@ -362,45 +363,123 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+// The verdict of TraceChunkReader::Open followed by reading every chunk:
+// nullopt when the whole file reads.
+std::optional<TraceReadError> OpenAndReadAll(const std::string& path) {
+  TraceReadError error = TraceReadError::kIo;
+  const auto reader = TraceChunkReader::Open(path, &error);
+  if (!reader.has_value()) {
+    return error;
+  }
+  auto cursor = reader->MakeCursor();
+  for (size_t c = 0; c < reader->chunk_count(); ++c) {
+    cursor.Read(c);
+    if (!cursor.ok()) {
+      return cursor.error();
+    }
+  }
+  return std::nullopt;
+}
+
+// Every way to load `bytes` — DeserializeTrace, ReadTraceFile, and Open
+// plus a cursor over every chunk — must reach `expected` (nullopt: loads).
+void ExpectVerdict(const std::string& path, const std::vector<uint8_t>& bytes,
+                   std::optional<TraceReadError> expected, const std::string& context) {
+  const auto name = [](std::optional<TraceReadError> verdict) {
+    return verdict.has_value() ? TraceReadErrorName(*verdict) : "loads";
+  };
+  TraceReadError error = TraceReadError::kIo;
+  const bool deserialized = DeserializeTrace(bytes, &error).has_value();
+  EXPECT_STREQ(name(deserialized ? std::nullopt : std::optional(error)), name(expected))
+      << context << " via DeserializeTrace";
+  WriteBytes(path, bytes);
+  error = TraceReadError::kIo;
+  const bool read = ReadTraceFile(path, &error).has_value();
+  EXPECT_STREQ(name(read ? std::nullopt : std::optional(error)), name(expected))
+      << context << " via ReadTraceFile";
+  EXPECT_STREQ(name(OpenAndReadAll(path)), name(expected)) << context << " via Open";
+}
+
 TEST_F(PipelineFileTest, OpenReportsTheRightErrorForEachDamage) {
   CallsiteRegistry callsites;
   const auto sites = MakeSites(&callsites);
   const auto records = GenerateTrace(3, 1000, sites);
-  const auto bytes = SerializedV2(records, callsites);
   const std::string path = ::testing::TempDir() + "/tempo_pipeline_damage.trc";
   paths_.push_back(path);
 
   TraceReadError error = TraceReadError::kIo;
   EXPECT_FALSE(TraceChunkReader::Open("/nonexistent/nope.trc", &error).has_value());
   EXPECT_EQ(error, TraceReadError::kIo);
+  EXPECT_FALSE(ReadTraceFile("/nonexistent/nope.trc", &error).has_value());
+  EXPECT_EQ(error, TraceReadError::kIo);
 
-  auto bad_magic = bytes;
-  bad_magic[0] = 'X';
-  WriteBytes(path, bad_magic);
-  EXPECT_FALSE(TraceChunkReader::Open(path, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kMagic);
+  TraceWriteOptions v3;
+  v3.version = kTraceFileVersionColumnar;
+  v3.chunk_records = 128;
+  TraceWriteOptions v3_lz = v3;
+  v3_lz.block_codec = BlockCodecId::kTempoLz;
+  const struct {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  } inputs[] = {
+      {"v2", SerializedV2(records, callsites)},
+      {"v3", SerializeTrace(records, callsites, v3)},
+      {"v3+TempoLz", SerializeTrace(records, callsites, v3_lz)},
+  };
+  for (const auto& input : inputs) {
+    const std::vector<uint8_t>& bytes = input.bytes;
+    const std::string name = input.name;
+    const uint64_t index_offset = wire::Get64(bytes.data() + bytes.size() - 16);
+    ASSERT_LT(index_offset, bytes.size()) << name;
 
-  auto bad_version = bytes;
-  bad_version[8] = 99;
-  WriteBytes(path, bad_version);
-  EXPECT_FALSE(TraceChunkReader::Open(path, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kVersion);
+    // The undamaged bytes load, so each damage below is what fails.
+    ExpectVerdict(path, bytes, std::nullopt, name);
 
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 17);
-  WriteBytes(path, truncated);
-  EXPECT_FALSE(TraceChunkReader::Open(path, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kTruncated);
+    auto bad_magic = bytes;
+    bad_magic[0] = 'X';
+    ExpectVerdict(path, bad_magic, TraceReadError::kMagic, name + " bad magic");
 
-  auto bad_trailer = bytes;
-  bad_trailer[bad_trailer.size() - 8] ^= 0xff;  // index trailer magic
-  WriteBytes(path, bad_trailer);
-  EXPECT_FALSE(TraceChunkReader::Open(path, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kCorrupt);
+    for (const uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+      auto bad_version = bytes;
+      bad_version[8] = version;
+      ExpectVerdict(path, bad_version, TraceReadError::kVersion,
+                    name + " version " + std::to_string(version));
+    }
 
-  // The undamaged bytes still open, so the damage above is what failed.
-  WriteBytes(path, bytes);
-  EXPECT_TRUE(TraceChunkReader::Open(path, &error).has_value());
+    for (const size_t cut : {size_t{1}, size_t{3}, size_t{17}, size_t{200}}) {
+      const std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - cut);
+      ExpectVerdict(path, truncated, TraceReadError::kTruncated,
+                    name + " cut by " + std::to_string(cut));
+    }
+
+    auto bad_trailer = bytes;
+    bad_trailer[bad_trailer.size() - 8] ^= 0xff;  // index trailer magic
+    ExpectVerdict(path, bad_trailer, TraceReadError::kCorrupt, name + " trailer magic");
+
+    auto bad_entry = bytes;
+    bad_entry[index_offset + 4] ^= 0x01;  // first index entry's chunk offset
+    ExpectVerdict(path, bad_entry, TraceReadError::kCorrupt, name + " index entry");
+
+    auto trailing = bytes;
+    trailing.push_back(0);
+    ExpectVerdict(path, trailing, TraceReadError::kCorrupt, name + " trailing byte");
+
+    if (name != "v2") {
+      // v3 chunks open with their block codec id.
+      auto bad_codec = bytes;
+      bad_codec[wire::Get64(bytes.data() + index_offset + 4)] = 99;
+      ExpectVerdict(path, bad_codec, TraceReadError::kCodec, name + " block codec");
+    }
+  }
+
+  // 65,536 identical records compress to a v3 file of well under one byte
+  // per 64 records, and it is still a valid trace.
+  const std::vector<TraceRecord> same(65536, TraceRecord{});
+  TraceWriteOptions one_chunk;
+  one_chunk.version = kTraceFileVersionColumnar;
+  const auto dense = SerializeTrace(same, CallsiteRegistry(), one_chunk);
+  EXPECT_LT(dense.size() * 64, same.size());
+  ExpectVerdict(path, dense, std::nullopt, "65536 identical records");
 }
 
 TEST_F(PipelineFileTest, DeserializeRejectsCorruptChunkIndex) {
@@ -417,38 +496,6 @@ TEST_F(PipelineFileTest, DeserializeRejectsCorruptChunkIndex) {
   TraceReadError error = TraceReadError::kIo;
   EXPECT_FALSE(DeserializeTrace(corrupt, &error).has_value());
   EXPECT_EQ(error, TraceReadError::kCorrupt);
-}
-
-TEST(PipelineRoundTripTest, V1AndV2EncodeTheSameTrace) {
-  CallsiteRegistry callsites;
-  const auto sites = MakeSites(&callsites);
-  const auto records = GenerateTrace(13, 2000, sites);
-
-  TraceWriteOptions v1;
-  v1.version = kTraceFileVersion;
-  const auto v1_loaded = DeserializeTrace(SerializeTrace(records, callsites, v1));
-  TraceWriteOptions v2;
-  v2.chunk_records = 77;
-  const auto v2_loaded = DeserializeTrace(SerializeTrace(records, callsites, v2));
-  ASSERT_TRUE(v1_loaded.has_value());
-  ASSERT_TRUE(v2_loaded.has_value());
-  ASSERT_EQ(v1_loaded->records.size(), records.size());
-  ASSERT_EQ(v2_loaded->records.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(v1_loaded->records[i].timestamp, v2_loaded->records[i].timestamp);
-    EXPECT_EQ(v1_loaded->records[i].timer, v2_loaded->records[i].timer);
-    EXPECT_EQ(v1_loaded->records[i].timeout, v2_loaded->records[i].timeout);
-    EXPECT_EQ(v1_loaded->records[i].expiry, v2_loaded->records[i].expiry);
-    EXPECT_EQ(v1_loaded->records[i].callsite, v2_loaded->records[i].callsite);
-    EXPECT_EQ(v1_loaded->records[i].pid, v2_loaded->records[i].pid);
-    EXPECT_EQ(static_cast<int>(v1_loaded->records[i].op),
-              static_cast<int>(v2_loaded->records[i].op));
-    EXPECT_EQ(v1_loaded->records[i].flags, v2_loaded->records[i].flags);
-  }
-  for (CallsiteId id = 0; id < callsites.size(); ++id) {
-    EXPECT_EQ(v1_loaded->callsites.Name(id), v2_loaded->callsites.Name(id));
-    EXPECT_EQ(v1_loaded->callsites.Parent(id), v2_loaded->callsites.Parent(id));
-  }
 }
 
 }  // namespace

@@ -261,7 +261,7 @@ TEST_F(StreamWriterTest, StreamedFileRoundTripsThroughReader) {
 TEST_F(StreamWriterTest, RejectsV1) {
   CallsiteRegistry callsites;
   TraceWriteOptions options;
-  options.version = kTraceFileVersion;
+  options.version = 1;  // the retired flat format
   TraceStreamWriter writer(Path(), &callsites, options);
   EXPECT_FALSE(writer.ok());
   EXPECT_FALSE(writer.Append(Rec(1)));

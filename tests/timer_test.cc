@@ -320,20 +320,15 @@ TEST(TimerQueueFactoryTest, NamesListMatchesFactory) {
   }
 }
 
-// The deprecated v1 overloads must keep forwarding until out-of-tree
-// callers migrate.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TimerQueueFactoryTest, DeprecatedOverloadsStillForward) {
-  EXPECT_EQ(MakeTimerQueue("no_such_queue"), nullptr);
-  auto by_name = MakeTimerQueue("lawn");
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->Name(), "lawn");
-  auto by_label = MakeTimerQueue("heap", "heap-compat-label");
-  ASSERT_NE(by_label, nullptr);
-  EXPECT_EQ(by_label->Name(), "heap");
+// A stats label renames the queue's metrics, not the queue.
+TEST(TimerQueueFactoryTest, StatsLabelKeepsQueueName) {
+  TimerQueueOptions options;
+  options.name = "heap";
+  options.stats_label = "heap-compat-label";
+  auto queue = MakeTimerQueue(options);
+  ASSERT_NE(queue, nullptr);
+  EXPECT_EQ(queue->Name(), "heap");
 }
-#pragma GCC diagnostic pop
 
 // --- v2 API surface, every backend ---
 

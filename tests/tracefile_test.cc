@@ -111,6 +111,25 @@ TEST(TraceFileTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(TraceFileTest, WriteRefusesUnknownVersions) {
+  CallsiteRegistry callsites;
+  const auto records = MakeTrace(&callsites);
+  const std::string path = ::testing::TempDir() + "/tempo_trace_bad_version.trc";
+  for (const uint32_t version : {0u, 1u, 4u, 7u}) {
+    std::remove(path.c_str());
+    TraceWriteOptions options;
+    options.version = version;
+    EXPECT_FALSE(WriteTraceFile(path, records, callsites, options)) << version;
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    EXPECT_EQ(file, nullptr) << "version " << version << " left a file behind";
+    if (file != nullptr) {
+      std::fclose(file);
+    }
+    EXPECT_TRUE(SerializeTrace(records, callsites, options).empty()) << version;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceFileTest, MissingFileFails) {
   EXPECT_FALSE(ReadTraceFile("/nonexistent/dir/nope.trc").has_value());
 }

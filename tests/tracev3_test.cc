@@ -39,7 +39,7 @@ std::vector<uint64_t> DecodeAll(StripeCodec codec, const std::vector<uint8_t>& b
 
 // A trace whose values survive the wire projections (expiry below 2^50
 // and 1024-aligned via timeouts in whole ms, pid/tid within int16), so
-// decoded records compare equal field-by-field across v1/v2/v3.
+// decoded records compare equal field-by-field across v2/v3.
 std::vector<TraceRecord> MakeTrace(CallsiteRegistry* callsites, size_t n) {
   const CallsiteId select = callsites->Intern("app/select");
   const CallsiteId tcp = callsites->Intern("net/tcp");

@@ -3,13 +3,9 @@
 # end to end through the real tool. Invoked by ctest via
 #   cmake -DTOOL=... -DTRACE_FILE=... -DOUT_DIR=... -DCASE=...
 #         [-DTOOL_ARGS=arg1;arg2;...] -P compare_jobs.cmake
-# TOOL_ARGS are extra tool arguments (a CMake ;-list); TRACESTAT is
-# accepted as a legacy alias for TOOL.
+# TOOL_ARGS are extra tool arguments (a CMake ;-list); CASE names the
+# trace format (v2, v3) in the report file names.
 
-if(NOT DEFINED TOOL)
-  set(TOOL ${TRACESTAT})
-  set(TOOL_ARGS "--blame" "5" "30")
-endif()
 get_filename_component(tool_name ${TOOL} NAME_WE)
 
 set(serial "${OUT_DIR}/${tool_name}_${CASE}_jobs1.txt")

@@ -6,7 +6,7 @@
 // pipeline pushes down to the v3 zone-map index, so a selective query
 // over a columnar trace decodes only the chunks that can match — the
 // stderr footer reports how many chunks and bytes were actually touched.
-// v1/v2 traces work too; they just scan everything.
+// v2 traces work too; they just scan everything.
 //
 //   tempoquery trace.trc --where pid=3|7,op=set|cancel,t=[1.5,30)
 //   tempoquery trace.trc --where op=set --group-by callsite --top 10

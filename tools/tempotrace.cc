@@ -3,7 +3,7 @@
 // directly. One "X" duration span per pending-timer interval (set ->
 // expire/cancel/re-arm), an "i" instant per cancellation, and two counter
 // tracks: live-timer depth at every transition and windowed firing-slack
-// p99. Reads any trace format (v1/v2/v3).
+// p99. Reads either trace format (v2/v3).
 //
 // --check re-reads the written file through a strict JSON parser and
 // verifies the trace-event schema (pid/tid/ts/ph on every event, dur on

@@ -3,9 +3,9 @@
 // trace into a textual format" of Section 3.2).
 //
 // Streams the file chunk by chunk, so a multi-gigabyte trace prints its
-// first records immediately and never gets materialized in memory. All
-// on-disk formats (flat v1, chunked v2, columnar v3) stream through the
-// same TraceChunkReader; a v3 file with a codec this build does not know
+// first records immediately and never gets materialized in memory. Both
+// on-disk formats (chunked v2, columnar v3) stream through the same
+// TraceChunkReader; a v3 file with a codec this build does not know
 // is reported as such, not as corruption.
 
 #include <cstdio>

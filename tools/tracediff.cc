@@ -1,7 +1,7 @@
 // tracediff — compares two trace files (e.g. a kernel-feature ablation):
 // summary deltas, per-call-site set-count deltas, and values that appear in
-// only one trace. Inputs may mix on-disk formats freely (flat v1, chunked
-// v2, columnar v3) — ReadTraceFile decodes them all.
+// only one trace. Inputs may mix on-disk formats freely (chunked v2,
+// columnar v3) — ReadTraceFile decodes both through TraceChunkReader.
 
 #include <algorithm>
 #include <cstdio>

@@ -3,10 +3,9 @@
 //
 // Writes the chunked v2 format by default so the analysis pipeline can
 // stream it in parallel; --v3 selects the columnar format (smaller
-// files, zone-map and projection pushdown), --v1 keeps the legacy flat
-// format for compatibility tests and old readers. --compress adds the
-// TempoLz block codec on top of the v3 stripes — a further ~25% smaller
-// on disk at roughly half the scan speed, meant for cold archives.
+// files, zone-map and projection pushdown). --compress adds the TempoLz
+// block codec on top of the v3 stripes — a further ~25% smaller on disk
+// at roughly half the scan speed, meant for cold archives.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +38,6 @@ uint64_t FileSize(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace tempo;
   static const tools::FlagSpec kFlags[] = {
-      {"v1", 0, "", "write the legacy flat v1 format"},
       {"v2", 0, "", "write the chunked v2 format (the default)"},
       {"v3", 0, "", "write the columnar v3 format"},
       {"compress", 0, "", "v3 only: block-compress chunks (TempoLz)"},
@@ -62,8 +60,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown format %s\n", args.Value("format").c_str());
     return 2;
   }
-  if (args.Has("v1") + args.Has("v2") + args.Has("v3") > 1) {
-    std::fprintf(stderr, "error: --v1, --v2 and --v3 are mutually exclusive\n");
+  if (args.Has("v2") && args.Has("v3")) {
+    std::fprintf(stderr, "error: --v2 and --v3 are mutually exclusive\n");
     return 2;
   }
 
@@ -103,9 +101,7 @@ int main(int argc, char** argv) {
   }
 
   TraceWriteOptions write_options;
-  if (args.Has("v1")) {
-    write_options.version = kTraceFileVersion;
-  } else if (args.Has("v3")) {
+  if (args.Has("v3")) {
     write_options.version = kTraceFileVersionColumnar;
   }
   write_options.chunk_records = static_cast<uint32_t>(
@@ -116,11 +112,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     write_options.block_codec = BlockCodecId::kTempoLz;
-  }
-
-  if (args.Has("stream") && args.Has("v1")) {
-    std::fprintf(stderr, "error: --stream writes chunked v2/v3 only\n");
-    return 2;
   }
 
   const std::string& output = positionals[1];
@@ -147,8 +138,8 @@ int main(int argc, char** argv) {
       run.records.empty() ? 0.0
                           : static_cast<double>(file_bytes) /
                                 static_cast<double>(run.records.size());
-  // File size relative to the fixed 48-byte-per-record encoding the
-  // v1/v2 formats pay — the compression headline for v3.
+  // File size relative to the fixed 48-byte-per-record encoding the v2
+  // format pays — the compression headline for v3.
   const double ratio = fixed_bytes == 0
                            ? 0.0
                            : static_cast<double>(file_bytes) /
