@@ -5,8 +5,9 @@
 // workload, and < 3% perturbation of the number of timer calls. Three
 // parts:
 //
-//   1. google-benchmark micros: the legacy RelayBuffer sink path and the
-//      binary codec in isolation.
+//   1. google-benchmark micros: TraceBuffer::Log (the path both OS models
+//      record through), a bare relay channel, and the binary codec in
+//      isolation.
 //   2. Multi-producer relay scalability: 1/2/4/8 producer threads, each
 //      logging through its own RelayChannel while a drainer merges and
 //      streams to disk via TraceStreamWriter. Measures producer-side
@@ -57,7 +58,7 @@ TraceRecord SampleRecord(uint64_t i) {
 
 // The paper's micro-benchmark: gather parameters and log binary record.
 void BM_LogRecordToBuffer(benchmark::State& state) {
-  RelayBuffer buffer(1u << 22);
+  TraceBuffer buffer(1u << 22);
   uint64_t i = 0;
   for (auto _ : state) {
     buffer.Log(SampleRecord(i++));

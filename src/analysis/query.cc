@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/snapshot.h"
 #include "src/sim/time.h"
 
 namespace tempo {
@@ -142,23 +143,15 @@ std::string QueryPass::RenderJson() const {
   for (const auto& [key, group] : SortedRows(groups_, options_.top_k)) {
     out += first_row ? "\n" : ",\n";
     first_row = false;
-    std::string name = KeyName(key);
-    // Call-site names are interned identifiers; escape the JSON specials
-    // anyway so arbitrary registries cannot produce invalid output.
-    std::string escaped;
-    for (const char c : name) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
+    // Call-site names come from the trace file: escape them, and keep them
+    // out of the fixed-size `line`, which only has room for the numbers.
+    out += "    {\"key\": \"" + obs::JsonEscape(KeyName(key)) + "\"";
     std::snprintf(line, sizeof(line),
-                  "    {\"key\": \"%s\", \"records\": %" PRIu64 ", \"sets\": %" PRIu64
+                  ", \"records\": %" PRIu64 ", \"sets\": %" PRIu64
                   ", \"timeout_sum_ns\": %" PRIu64 ", \"first_ns\": %lld"
                   ", \"last_ns\": %lld}",
-                  escaped.c_str(), group.records, group.sets, group.timeout_sum,
-                  static_cast<long long>(group.first),
-                  static_cast<long long>(group.last));
+                  group.records, group.sets, group.timeout_sum,
+                  static_cast<long long>(group.first), static_cast<long long>(group.last));
     out += line;
   }
   out += first_row ? "]\n}\n" : "\n  ]\n}\n";

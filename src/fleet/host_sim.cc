@@ -60,10 +60,15 @@ SimulatedHost::SimulatedHost(HostSimOptions options)
   live.classifier.stats_label.clear();
   live.classifier.capacity = 256;
   analyzer_ = std::make_unique<live::LiveAnalyzer>(live);
-  drainer_ = std::make_unique<RelayDrainer>(&channels_, [this](const TraceRecord& record) {
-    analyzer_->Ingest(record);
-    slack_.Ingest(record);
-  });
+  // Uninstrumented for the same reason; RunFleet adds every host's drainer
+  // totals to the global counters after its workers have joined.
+  drainer_ = std::make_unique<RelayDrainer>(
+      &channels_,
+      [this](const TraceRecord& record) {
+        analyzer_->Ingest(record);
+        slack_.Ingest(record);
+      },
+      /*instrumented=*/false);
 }
 
 void SimulatedHost::Log(RelayChannel* channel, const TraceRecord& record) {
@@ -239,10 +244,14 @@ FleetRunResult RunFleet(const FleetRunOptions& options) {
 
   FleetRunResult result;
   result.hosts = slots.size();
+  uint64_t drainer_emitted = 0;
   for (Slot& slot : slots) {
     result.records += slot.host->analyzer().records_ingested();
     result.frames += slot.host->frames_published();
+    result.drainer_polls += slot.host->drainer().polls();
+    drainer_emitted += slot.host->drainer().emitted();
   }
+  RelayDrainer::AddToCounters(result.drainer_polls, drainer_emitted);
   return result;
 }
 

@@ -79,6 +79,7 @@ class SimulatedHost {
   const std::string& name() const { return options_.name; }
   const live::LiveAnalyzer& analyzer() const { return *analyzer_; }
   const live::SlackTracker& slack() const { return slack_; }
+  const RelayDrainer& drainer() const { return *drainer_; }
   RelayChannelSet* channels() { return &channels_; }
   uint64_t frames_published() const { return sequence_; }
 
@@ -131,11 +132,14 @@ struct FleetRunResult {
   size_t hosts = 0;
   uint64_t records = 0;  // records ingested across all host analyzers
   uint64_t frames = 0;   // summaries published across all hosts
+  uint64_t drainer_polls = 0;  // relay drainer polls across all hosts
 };
 
 // Drives a fleet of simulated hosts to `duration`, publishing each round,
 // closing every transport at the end. Burst start times are jittered per
-// host (within the run) so the storm is not perfectly synchronised.
+// host (within the run) so the storm is not perfectly synchronised. After
+// the last round, from the caller's thread, adds the hosts' drainer polls
+// and emitted records to trace_relay_drainer_{polls,emitted}.
 FleetRunResult RunFleet(const FleetRunOptions& options);
 
 }  // namespace fleet

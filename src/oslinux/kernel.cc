@@ -6,17 +6,17 @@
 
 namespace tempo {
 
-LinuxKernel::LinuxKernel(Simulator* sim, TraceSink* sink)
-    : LinuxKernel(sim, sink, Options{}) {}
+LinuxKernel::LinuxKernel(Simulator* sim, TraceBuffer* buffer)
+    : LinuxKernel(sim, buffer, Options{}) {}
 
-LinuxKernel::LinuxKernel(Simulator* sim, TraceSink* sink, Options options)
-    : LinuxKernel(&sim->domain(0), sink, options) {}
+LinuxKernel::LinuxKernel(Simulator* sim, TraceBuffer* buffer, Options options)
+    : LinuxKernel(&sim->domain(0), buffer, options) {}
 
-LinuxKernel::LinuxKernel(ClockDomain* domain, TraceSink* sink)
-    : LinuxKernel(domain, sink, Options{}) {}
+LinuxKernel::LinuxKernel(ClockDomain* domain, TraceBuffer* buffer)
+    : LinuxKernel(domain, buffer, Options{}) {}
 
-LinuxKernel::LinuxKernel(ClockDomain* domain, TraceSink* sink, Options options)
-    : domain_(domain), sink_(sink), options_(options) {}
+LinuxKernel::LinuxKernel(ClockDomain* domain, TraceBuffer* buffer, Options options)
+    : domain_(domain), buffer_(buffer), options_(options) {}
 
 void LinuxKernel::Boot() {
   assert(!booted_);
@@ -62,7 +62,7 @@ void LinuxKernel::Log(TimerOp op, const LinuxTimer& t, SimDuration timeout, SimT
   if (t.deferrable) {
     r.flags |= kFlagDeferrable;
   }
-  sink_->Log(r);
+  buffer_->Log(r);
 }
 
 void LinuxKernel::Arm(LinuxTimer* timer, Jiffies expires, SimDuration observed_timeout,
@@ -189,7 +189,7 @@ void LinuxKernel::LogHr(TimerOp op, const LinuxHrTimer& t, SimDuration timeout, 
   if (t.pid != kKernelPid) {
     r.flags |= kFlagUser;
   }
-  sink_->Log(r);
+  buffer_->Log(r);
 }
 
 void LinuxKernel::StartHrTimer(LinuxHrTimer* timer, SimDuration timeout) {

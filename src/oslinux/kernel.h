@@ -6,7 +6,7 @@
 //   high-resolution timer facility, round_jiffies (2.6.20), deferrable
 //   timers (2.6.22) and dynticks (2.6.21).
 //
-// Every operation is logged to a TraceSink exactly where the paper put its
+// Every operation is logged to a TraceBuffer exactly where the paper put its
 // tracepoints: arming is observed inside __mod_timer with the *absolute*
 // jiffy expiry (so kernel-side relative timeouts exhibit up to ~2 ms of
 // conversion jitter, Section 3.1), cancellation in del_timer, and expiry in
@@ -81,15 +81,15 @@ class LinuxKernel {
     double jitter_probability = 0.35;
   };
 
-  // `sink` receives all trace records; it must outlive the kernel. The
+  // `buffer` receives all trace records; it must outlive the kernel. The
   // Simulator* overloads pin the kernel to domain 0 (the classic
   // single-CPU layout); the ClockDomain* overload pins it to one simulated
   // CPU of a multi-domain simulator — its clock interrupts, timer wheels
   // and RNG draws all live on that domain's clock.
-  LinuxKernel(Simulator* sim, TraceSink* sink);
-  LinuxKernel(Simulator* sim, TraceSink* sink, Options options);
-  LinuxKernel(ClockDomain* domain, TraceSink* sink);
-  LinuxKernel(ClockDomain* domain, TraceSink* sink, Options options);
+  LinuxKernel(Simulator* sim, TraceBuffer* buffer);
+  LinuxKernel(Simulator* sim, TraceBuffer* buffer, Options options);
+  LinuxKernel(ClockDomain* domain, TraceBuffer* buffer);
+  LinuxKernel(ClockDomain* domain, TraceBuffer* buffer, Options options);
   LinuxKernel(const LinuxKernel&) = delete;
   LinuxKernel& operator=(const LinuxKernel&) = delete;
 
@@ -160,7 +160,7 @@ class LinuxKernel {
   void ReprogramHrEvent();
 
   ClockDomain* domain_;
-  TraceSink* sink_;
+  TraceBuffer* buffer_;
   Options options_;
   CallsiteRegistry callsites_;
 

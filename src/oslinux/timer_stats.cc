@@ -7,28 +7,32 @@
 namespace tempo {
 
 void TimerStatsCollector::Enable(SimTime now) {
-  enabled_ = true;
-  enabled_at_ = now;
+  begin_ = now;
+  end_ = kNeverTime;
   last_time_ = now;
   total_ = 0;
   counts_.clear();
 }
 
 void TimerStatsCollector::Disable(SimTime now) {
-  enabled_ = false;
+  if (!enabled()) {
+    return;
+  }
+  end_ = now;
   last_time_ = now;
 }
 
-void TimerStatsCollector::Log(const TraceRecord& record) {
-  if (!enabled_) {
-    return;
+void TimerStatsCollector::Fold(std::span<const TraceRecord> records) {
+  for (const TraceRecord& record : records) {
+    if (record.timestamp < begin_ || record.timestamp > end_) {
+      continue;
+    }
+    last_time_ = std::max(last_time_, record.timestamp);
+    if (record.op == TimerOp::kSet || record.op == TimerOp::kBlock) {
+      ++total_;
+      ++counts_[{record.callsite, record.pid}];
+    }
   }
-  last_time_ = record.timestamp;
-  if (record.op != TimerOp::kSet && record.op != TimerOp::kBlock) {
-    return;
-  }
-  ++total_;
-  ++counts_[{record.callsite, record.pid}];
 }
 
 std::vector<TimerStatsCollector::Row> TimerStatsCollector::Rows() const {

@@ -15,24 +15,29 @@
 #define TEMPO_SRC_OSLINUX_TIMER_STATS_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "src/trace/buffer.h"
 #include "src/trace/callsite.h"
+#include "src/trace/record.h"
 
 namespace tempo {
 
-// A timer_stats collector: a TraceSink counting arming operations per
-// (call-site, pid). Attach it (possibly via TeeSink) where a RelayBuffer
-// would go; Enable/Disable mirror `echo 1 > /proc/timer_stats`.
-class TimerStatsCollector : public TraceSink {
+// A timer_stats collector: counts arming operations per (call-site, pid)
+// over the records stamped inside its Enable…Disable window, folded from a
+// TraceBuffer's records. Enable/Disable mirror `echo 1 > /proc/timer_stats`.
+class TimerStatsCollector {
  public:
-  void Log(const TraceRecord& record) override;
-
+  // Enable opens a new window (clearing the counts); Disable closes it.
   void Enable(SimTime now);
   void Disable(SimTime now);
-  bool enabled() const { return enabled_; }
+  bool enabled() const { return begin_ != kNeverTime && end_ == kNeverTime; }
+
+  // Counts the arming operations among `records` stamped inside the
+  // window (each record batch is folded once); with no window opened yet,
+  // nothing counts.
+  void Fold(std::span<const TraceRecord> records);
 
   struct Row {
     uint64_t count = 0;
@@ -47,29 +52,14 @@ class TimerStatsCollector : public TraceSink {
   std::string Report(const CallsiteRegistry& callsites) const;
 
   uint64_t total_events() const { return total_; }
-  SimDuration sample_period() const { return last_time_ - enabled_at_; }
+  SimDuration sample_period() const { return last_time_ - begin_; }
 
  private:
-  bool enabled_ = false;
-  SimTime enabled_at_ = 0;
-  SimTime last_time_ = 0;
+  SimTime begin_ = kNeverTime;      // window start; kNeverTime until Enable
+  SimTime end_ = kNeverTime;        // window end; kNeverTime while enabled
+  SimTime last_time_ = kNeverTime;  // latest time the window has covered
   uint64_t total_ = 0;
   std::map<std::pair<CallsiteId, Pid>, uint64_t> counts_;
-};
-
-// Fans one record stream out to several sinks (e.g. the study's RelayBuffer
-// plus a TimerStatsCollector).
-class TeeSink : public TraceSink {
- public:
-  void Add(TraceSink* sink) { sinks_.push_back(sink); }
-  void Log(const TraceRecord& record) override {
-    for (TraceSink* sink : sinks_) {
-      sink->Log(record);
-    }
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
 };
 
 }  // namespace tempo

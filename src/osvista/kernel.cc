@@ -7,17 +7,17 @@
 
 namespace tempo {
 
-VistaKernel::VistaKernel(Simulator* sim, TraceSink* sink)
-    : VistaKernel(sim, sink, Options{}) {}
+VistaKernel::VistaKernel(Simulator* sim, TraceBuffer* buffer)
+    : VistaKernel(sim, buffer, Options{}) {}
 
-VistaKernel::VistaKernel(Simulator* sim, TraceSink* sink, Options options)
-    : VistaKernel(&sim->domain(0), sink, options) {}
+VistaKernel::VistaKernel(Simulator* sim, TraceBuffer* buffer, Options options)
+    : VistaKernel(&sim->domain(0), buffer, options) {}
 
-VistaKernel::VistaKernel(ClockDomain* domain, TraceSink* sink)
-    : VistaKernel(domain, sink, Options{}) {}
+VistaKernel::VistaKernel(ClockDomain* domain, TraceBuffer* buffer)
+    : VistaKernel(domain, buffer, Options{}) {}
 
-VistaKernel::VistaKernel(ClockDomain* domain, TraceSink* sink, Options options)
-    : domain_(domain), sink_(sink), options_(options) {}
+VistaKernel::VistaKernel(ClockDomain* domain, TraceBuffer* buffer, Options options)
+    : domain_(domain), buffer_(buffer), options_(options) {}
 
 void VistaKernel::Boot() {
   assert(!booted_);
@@ -72,7 +72,7 @@ void VistaKernel::Log(TimerOp op, const KTimer& t, SimDuration timeout, SimTime 
   if (t.dynamic) {
     r.flags |= kFlagDynamicAlloc;
   }
-  sink_->Log(r);
+  buffer_->Log(r);
 }
 
 void VistaKernel::KeSetTimer(KTimer* timer, SimDuration timeout) {
@@ -178,7 +178,7 @@ VistaKernel::Wait* VistaKernel::BlockThread(Pid pid, Tid tid, const std::string&
   r.tid = tid;
   r.op = TimerOp::kBlock;
   r.flags = pid != kKernelPid ? kFlagUser : uint16_t{0};
-  sink_->Log(r);
+  buffer_->Log(r);
 
   if (wait->has_timeout_) {
     KTimer* kt = wait->timer_;
@@ -224,7 +224,7 @@ void VistaKernel::CompleteWait(Wait* wait, bool satisfied) {
   if (satisfied) {
     r.flags |= kFlagWaitSatisfied;
   }
-  sink_->Log(r);
+  buffer_->Log(r);
   if (wait->on_wake_) {
     auto cb = std::move(wait->on_wake_);
     wait->on_wake_ = nullptr;

@@ -67,14 +67,16 @@ class VistaKernel {
     Options() : clock_tick(kVistaClockTick), coalesce_ticks(false) {}
   };
 
-  // The Simulator* overloads pin the kernel to domain 0 (the classic
-  // single-CPU layout); the ClockDomain* overload pins it to one simulated
-  // CPU of a multi-domain simulator — its clock interrupt, timer table and
-  // RNG draws all live on that domain's clock.
-  VistaKernel(Simulator* sim, TraceSink* sink);
-  VistaKernel(Simulator* sim, TraceSink* sink, Options options);
-  VistaKernel(ClockDomain* domain, TraceSink* sink);
-  VistaKernel(ClockDomain* domain, TraceSink* sink, Options options);
+  // `buffer` receives all trace records (the study's ETW session is an
+  // unbounded TraceBuffer); it must outlive the kernel. The Simulator*
+  // overloads pin the kernel to domain 0 (the classic single-CPU layout);
+  // the ClockDomain* overload pins it to one simulated CPU of a
+  // multi-domain simulator — its clock interrupt, timer table and RNG draws
+  // all live on that domain's clock.
+  VistaKernel(Simulator* sim, TraceBuffer* buffer);
+  VistaKernel(Simulator* sim, TraceBuffer* buffer, Options options);
+  VistaKernel(ClockDomain* domain, TraceBuffer* buffer);
+  VistaKernel(ClockDomain* domain, TraceBuffer* buffer, Options options);
   VistaKernel(const VistaKernel&) = delete;
   VistaKernel& operator=(const VistaKernel&) = delete;
 
@@ -149,7 +151,7 @@ class VistaKernel {
   void MaybeReprogramTick(SimTime due);
 
   ClockDomain* domain_;
-  TraceSink* sink_;
+  TraceBuffer* buffer_;
   Options options_;
   CallsiteRegistry callsites_;
 

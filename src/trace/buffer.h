@@ -1,22 +1,22 @@
-// Trace sinks: legacy adapters over the relay-channel recording path.
+// The trace buffer both OS models record into.
 //
 // The Linux study used relayfs with a 512 MiB in-kernel buffer: ordered,
 // lossless up to capacity, with new events *dropped* (never overwriting old
 // ones) on overflow. The Vista study used ETW, effectively unbounded for the
-// trace lengths involved. Since the relay rework both are thin shims over a
-// RelayChannel (relay.h): records take the same lock-free sub-buffer path
-// the multi-producer pipeline uses, and the classes here only add the
-// legacy conveniences — a materialized `records()` vector, exact capacity
-// accounting, CPU cycle charging — on top.
+// trace lengths involved. One TraceBuffer models both: a record vector with
+// a capacity (kRelayDefaultCapacity for relayfs, kUnbounded for ETW) past
+// which new records are dropped and counted.
 //
 // Logging itself costs CPU: the paper measured 236 cycles per record
-// (Section 3.2). Sinks charge a configurable per-record cycle cost to the
-// simulated CPU so the overhead experiment can be re-run.
+// (Section 3.2). The buffer charges a configurable per-record cycle cost to
+// the simulated CPU so the overhead experiment can be re-run.
 
 #ifndef TEMPO_SRC_TRACE_BUFFER_H_
 #define TEMPO_SRC_TRACE_BUFFER_H_
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -29,148 +29,68 @@ namespace tempo {
 // Per-record instrumentation cost measured in the paper (Section 3.2).
 inline constexpr uint64_t kPaperLogCostCycles = 236;
 
-// Abstract destination for trace records. Legacy interface: the hot
-// recording path is RelayChannel::TryLog (non-virtual); TraceSink remains
-// for callers that want pluggable single-threaded sinks.
-class TraceSink {
+class TraceBuffer {
  public:
-  virtual ~TraceSink() = default;
+  static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
-  // Logs one record. Implementations may drop it (bounded buffers).
-  virtual void Log(const TraceRecord& record) = 0;
-};
+  // Keeps at most `capacity` records. `sink` labels the obs counters
+  // (trace_records_logged / _dropped, trace_charged_cycles): "relay" for
+  // the Linux relayfs buffer, "etw" for the Vista session.
+  explicit TraceBuffer(size_t capacity = kRelayDefaultCapacity,
+                       const std::string& sink = "relay");
+  TraceBuffer(const TraceBuffer&) = delete;
+  TraceBuffer& operator=(const TraceBuffer&) = delete;
 
-// Sink that discards everything; stands in for the "unmodified kernel" runs
-// used to measure instrumentation perturbation. It deliberately charges no
-// CPU cycles — that is the point of the baseline — but it does count the
-// records it swallows, so a perturbation experiment can still verify that
-// both runs *attempted* the same amount of logging. The count is exposed as
-// `discarded()` (not `dropped()`): nothing was lost to overflow as in
-// RelayBuffer; every record was discarded by design.
-class NullSink : public TraceSink {
- public:
-  NullSink();
-
-  void Log(const TraceRecord& record) override;
-
-  uint64_t discarded() const { return discarded_; }
-
- private:
-  uint64_t discarded_ = 0;
-  obs::Counter* metric_discarded_;
-};
-
-// TraceSink adapter over a relay channel: lets legacy TraceSink callers
-// feed the channel/drainer pipeline. The virtual call is the adapter's
-// price; hot paths should hold the RelayChannel* directly.
-class ChannelSink : public TraceSink {
- public:
-  explicit ChannelSink(RelayChannel* channel) : channel_(channel) {}
-
-  void Log(const TraceRecord& record) override {
+  // Charges the attached CPU, then appends `record` — or, once the buffer
+  // holds `capacity` records, drops and counts it (relayfs semantics: drop
+  // new, keep old). Dropped records are charged too: the instrumentation
+  // pays before it finds the buffer full.
+  void Log(const TraceRecord& record) {
     if (cpu_ != nullptr) {
       cpu_->ChargeCycles(cost_cycles_);
+      metric_charged_->Inc(cost_cycles_);
     }
-    channel_->TryLog(record);
+    if (records_.size() >= capacity_) {
+      ++dropped_;
+      metric_dropped_->Inc();
+      return;
+    }
+    records_.push_back(record);
+    metric_logged_->Inc();
+    if (live_tap_ != nullptr) {
+      live_tap_->TryLog(record);
+    }
   }
 
-  // Attaches a CPU to charge `cost_cycles` per logged record.
-  void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
-    cpu_ = cpu;
-    cost_cycles_ = cost_cycles;
-  }
-
-  RelayChannel* channel() const { return channel_; }
-
- private:
-  RelayChannel* channel_;
-  Cpu* cpu_ = nullptr;
-  uint64_t cost_cycles_ = kPaperLogCostCycles;
-};
-
-// Bounded, ordered trace buffer with relayfs overflow semantics: once the
-// buffer is full, new records are dropped and counted; existing records are
-// never overwritten. Backed by a private RelayChannel; `records()` and
-// `TakeRecords()` harvest it on demand, so single-threaded callers see the
-// same materialized-vector behaviour as before the relay rework.
-class RelayBuffer : public TraceSink {
- public:
-  // `capacity` is the maximum number of records retained. The default is
-  // the paper's 512 MiB relayfs buffer expressed in records — derived from
-  // sizeof(TraceRecord) in relay.h, not hard-coded.
-  explicit RelayBuffer(size_t capacity = kRelayDefaultCapacity);
-
-  void Log(const TraceRecord& record) override;
-
-  // Attaches a CPU to charge `cost_cycles` per logged record.
+  // Attaches a CPU to charge `cost_cycles` per Log call.
   void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
     cpu_ = cpu;
     cost_cycles_ = cost_cycles;
   }
 
   // Tees every *accepted* record into `tap` as well (e.g. a channel a live
-  // drainer polls while the run executes); nullptr disables. Records this
-  // buffer drops are not teed, so the live view matches the recorded trace.
+  // drainer polls while the run executes); nullptr disables. Dropped
+  // records are not teed, so the live view matches the recorded trace.
   void SetLiveTap(RelayChannel* tap) { live_tap_ = tap; }
 
-  const std::vector<TraceRecord>& records() const;
+  const std::vector<TraceRecord>& records() const { return records_; }
   size_t capacity() const { return capacity_; }
+  uint64_t logged() const { return records_.size(); }
   uint64_t dropped() const { return dropped_; }
-  uint64_t logged() const { return logged_; }
 
-  // Releases the stored records (e.g. to hand to the analysis pipeline
-  // without copying) and resets the buffer.
+  // Hands the stored records over without copying and resets the buffer
+  // (records, logged and dropped) for the next run.
   std::vector<TraceRecord> TakeRecords();
 
  private:
-  // Harvests everything logged so far out of the channel into records_.
-  void Sync() const;
-
   size_t capacity_;
-  mutable RelayChannel channel_;              // Sync flushes + harvests it
-  mutable std::vector<TraceRecord> records_;  // harvested on demand
-  uint64_t logged_ = 0;   // records accepted since the last TakeRecords
-  uint64_t dropped_ = 0;  // resets with TakeRecords, unlike the channel's
+  std::vector<TraceRecord> records_;
+  uint64_t dropped_ = 0;  // since the last TakeRecords
   RelayChannel* live_tap_ = nullptr;
   Cpu* cpu_ = nullptr;
   uint64_t cost_cycles_ = kPaperLogCostCycles;
   obs::Counter* metric_logged_;
   obs::Counter* metric_dropped_;
-  obs::Counter* metric_charged_;
-};
-
-// ETW-style session: unbounded buffer (bounded only by memory), same record
-// format. Backed by a small RelayChannel ring that spills into the
-// materialized vector whenever it fills, so no record is ever dropped.
-// Vista instrumentation additionally captures stacks; those live in the
-// records' `stack` field via CallsiteRegistry::InternStack.
-class EtwSession : public TraceSink {
- public:
-  EtwSession();
-
-  void Log(const TraceRecord& record) override;
-
-  void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
-    cpu_ = cpu;
-    cost_cycles_ = cost_cycles;
-  }
-
-  // Tees every record into `tap` as well; nullptr disables. ETW sessions
-  // never drop, so the tee sees exactly the recorded stream.
-  void SetLiveTap(RelayChannel* tap) { live_tap_ = tap; }
-
-  const std::vector<TraceRecord>& records() const;
-  std::vector<TraceRecord> TakeRecords();
-
- private:
-  void Sync() const;
-
-  mutable RelayChannel channel_;
-  mutable std::vector<TraceRecord> records_;
-  RelayChannel* live_tap_ = nullptr;
-  Cpu* cpu_ = nullptr;
-  uint64_t cost_cycles_ = kPaperLogCostCycles;
-  obs::Counter* metric_logged_;
   obs::Counter* metric_charged_;
 };
 

@@ -111,14 +111,32 @@ void RelayChannelSet::CloseAll() {
   }
 }
 
-RelayDrainer::RelayDrainer(RelayChannelSet* channels, EmitFn emit)
-    : channels_(channels),
-      emit_(std::move(emit)),
-      metric_polls_(obs::Registry::Global().GetCounter(
-          "trace_relay_drainer_polls", {}, "RelayDrainer harvest passes")),
-      metric_emitted_(obs::Registry::Global().GetCounter(
-          "trace_relay_drainer_emitted", {},
-          "Records emitted by the drainer's ordered merge")) {}
+namespace {
+
+obs::Counter* DrainerPolls() {
+  return obs::Registry::Global().GetCounter("trace_relay_drainer_polls", {},
+                                            "RelayDrainer harvest passes");
+}
+
+obs::Counter* DrainerEmitted() {
+  return obs::Registry::Global().GetCounter(
+      "trace_relay_drainer_emitted", {}, "Records emitted by the drainer's ordered merge");
+}
+
+}  // namespace
+
+RelayDrainer::RelayDrainer(RelayChannelSet* channels, EmitFn emit, bool instrumented)
+    : channels_(channels), emit_(std::move(emit)) {
+  if (instrumented) {
+    metric_polls_ = DrainerPolls();
+    metric_emitted_ = DrainerEmitted();
+  }
+}
+
+void RelayDrainer::AddToCounters(uint64_t polls, uint64_t emitted) {
+  DrainerPolls()->Inc(polls);
+  DrainerEmitted()->Inc(emitted);
+}
 
 void RelayDrainer::HarvestAll() {
   const size_t n = channels_->size();
@@ -178,12 +196,17 @@ size_t RelayDrainer::EmitMerged(SimTime bound, bool bounded) {
     ++emitted;
   }
   emitted_ += emitted;
-  metric_emitted_->Inc(emitted);
+  if (metric_emitted_ != nullptr) {
+    metric_emitted_->Inc(emitted);
+  }
   return emitted;
 }
 
 size_t RelayDrainer::Poll() {
-  metric_polls_->Inc();
+  ++polls_;
+  if (metric_polls_ != nullptr) {
+    metric_polls_->Inc();
+  }
   HarvestAll();
   // Watermark rule: a record is safe to emit once it is strictly below
   // every open channel's largest harvested timestamp — no producer can

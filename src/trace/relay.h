@@ -48,8 +48,8 @@ namespace tempo {
 
 // The Linux study's relayfs buffer was 512 MiB; the equivalent record
 // budget, derived in one place instead of hard-coding a count.
-inline constexpr size_t kRelayBufferBytes = size_t{512} << 20;
-inline constexpr size_t kRelayDefaultCapacity = kRelayBufferBytes / sizeof(TraceRecord);
+inline constexpr size_t kRelayfsBytes = size_t{512} << 20;
+inline constexpr size_t kRelayDefaultCapacity = kRelayfsBytes / sizeof(TraceRecord);
 
 // Sub-buffer geometry of one channel. The defaults mirror relayfs practice:
 // sub-buffers big enough that publication cost vanishes (4096 records ≈
@@ -179,7 +179,12 @@ class RelayDrainer {
  public:
   using EmitFn = std::function<void(const TraceRecord&)>;
 
-  RelayDrainer(RelayChannelSet* channels, EmitFn emit);
+  // An `instrumented` drainer counts its polls and emitted records into the
+  // process-global trace_relay_drainer_{polls,emitted} counters. Drainers
+  // driven from several threads at once (fleet host replicas) pass false
+  // — obs counters have one writer each — and their owner adds polls() and
+  // emitted() to the counters with AddToCounters from one thread.
+  RelayDrainer(RelayChannelSet* channels, EmitFn emit, bool instrumented = true);
 
   // Harvests published sub-buffers and emits every record proven globally
   // orderable: records strictly below the minimum watermark of all open
@@ -193,9 +198,14 @@ class RelayDrainer {
   // stable timestamp order. Returns records emitted by this call.
   size_t Finish(bool flush_open_channels = true);
 
+  uint64_t polls() const { return polls_; }
   uint64_t emitted() const { return emitted_; }
   // Records harvested but still held back by the watermark.
   size_t staged() const;
+
+  // Adds uninstrumented drainers' polls and emitted records to the global
+  // counters; call from the thread that owns those counters.
+  static void AddToCounters(uint64_t polls, uint64_t emitted);
 
  private:
   struct Lane {
@@ -216,9 +226,10 @@ class RelayDrainer {
   RelayChannelSet* channels_;
   EmitFn emit_;
   std::vector<Lane> lanes_;
+  uint64_t polls_ = 0;
   uint64_t emitted_ = 0;
-  obs::Counter* metric_polls_;
-  obs::Counter* metric_emitted_;
+  obs::Counter* metric_polls_ = nullptr;    // null when uninstrumented
+  obs::Counter* metric_emitted_ = nullptr;
 };
 
 }  // namespace tempo

@@ -16,7 +16,7 @@ namespace {
 // Shared base: simulator, kernel, trace buffer, standard daemons.
 struct LinuxBase {
   TraceRun run;
-  RelayBuffer* buffer = nullptr;
+  TraceBuffer* buffer = nullptr;
   LinuxKernel* kernel = nullptr;
   LinuxSyscalls* syscalls = nullptr;
   KernelSubsystems* subsystems = nullptr;
@@ -33,21 +33,7 @@ LinuxBase MakeLinuxBase(const std::string& label, const WorkloadOptions& options
     base.run.sim = std::make_unique<Simulator>(sim_options);
   }
 
-  auto buffer = std::make_unique<RelayBuffer>();
-  buffer->AttachCpu(&base.run.sim->cpu());
-  if (options.live != nullptr && options.live->channels != nullptr) {
-    RelayChannel* tap = options.live->channels->Register("live/" + label);
-    buffer->SetLiveTap(tap);
-    if (options.live->poll && options.live->period > 0) {
-      auto poll = options.live->poll;
-      base.run.keepalive.push_back(
-          base.run.sim->SchedulePeriodic(options.live->period, [tap, poll] {
-            tap->FlushOpen();  // the drainer only sees published sub-buffers
-            poll();
-          }));
-    }
-  }
-  base.buffer = base.run.Keep(std::move(buffer));
+  base.buffer = MakeTraceBuffer(&base.run, kRelayDefaultCapacity, "relay", options.live);
 
   LinuxKernel::Options kernel_options;
   kernel_options.dynticks = options.dynticks;

@@ -1,8 +1,8 @@
 // Workload execution harness.
 //
-// A TraceRun owns a complete simulated machine (simulator, OS model, trace
-// buffer, protocol stacks, application processes) for the duration of one
-// traced workload, and exposes what the analysis pipeline needs: the
+// A TraceRun owns a complete simulated machine (simulator, OS model,
+// TraceBuffer, protocol stacks, application processes) for the duration of
+// one traced workload, and exposes what the analysis pipeline needs: the
 // records, the call-site registry, and the process table.
 
 #ifndef TEMPO_SRC_WORKLOADS_RUN_H_
@@ -30,7 +30,7 @@ struct TraceRun {
   std::unique_ptr<LinuxKernel> linux_kernel;
   std::unique_ptr<VistaKernel> vista_kernel;
 
-  // The trace itself (moved out of the buffer after the run).
+  // The trace itself (moved out of the TraceBuffer after the run).
   std::vector<TraceRecord> records;
 
   // Anything else that must stay alive as long as the records reference it
@@ -56,10 +56,11 @@ struct TraceRun {
 // Live observation hookup. Workload functions run their simulation to
 // completion internally, so a caller who wants to watch the trace *while*
 // it runs (tempotop, the live-analysis tests) supplies this: the workload
-// registers a "live/<label>" channel in `channels`, tees every recorded
-// trace record into it, and schedules `poll` every `period` of simulated
-// time (after flushing the tap, so a RelayDrainer over `channels` sees
-// everything logged so far). The caller's poll typically runs
+// registers a "live/<label>" channel in `channels` as its TraceBuffer's
+// live tap, so every recorded trace record reaches it, and schedules `poll`
+// every `period` of simulated time (after flushing the tap, so a
+// RelayDrainer over `channels` sees everything logged so far). The
+// caller's poll typically runs
 // RelayDrainer::Poll into a LiveAnalyzer and refreshes a display.
 struct LiveTapOptions {
   RelayChannelSet* channels = nullptr;
@@ -97,6 +98,13 @@ struct WorkloadOptions {
   // processes/callsites back-pointers during setup).
   LiveTapOptions* live = nullptr;
 };
+
+// Creates the TraceBuffer a workload's kernel records into, owned by `run`
+// and charged to its simulated CPU at the paper's per-record cost. With
+// `live` set, the buffer is also teed into the "live/<run->label>" tap
+// described above. `run->sim` and `run->label` must already be set.
+TraceBuffer* MakeTraceBuffer(TraceRun* run, size_t capacity, const std::string& sink,
+                             LiveTapOptions* live);
 
 }  // namespace tempo
 

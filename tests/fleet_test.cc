@@ -533,6 +533,35 @@ TEST(FleetEndToEnd, FailedConnectIsADeadHostNotACrash) {
   EXPECT_GT(view.frames_total, 0u);
 }
 
+TEST(FleetEndToEnd, ThreadedRunCountsEveryHostsDrainerPollsAndRecords) {
+  // Hosts drain on RunFleet's worker threads, but the global drainer
+  // counters have one writer: RunFleet adds the hosts' totals after the
+  // last join, so none of them is lost to a racing increment.
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* polls = registry.GetCounter("trace_relay_drainer_polls", {});
+  obs::Counter* emitted = registry.GetCounter("trace_relay_drainer_emitted", {});
+  const uint64_t polls0 = polls->value();
+  const uint64_t emitted0 = emitted->value();
+  FleetAggregator agg(Quiet());
+  FleetCollector collector(&agg);
+  InProcessPipeHub hub(collector.Handler());
+  FleetRunOptions run;
+  run.hosts = 8;
+  run.threads = 4;
+  run.duration = 4 * kSecond;
+  run.seed = 3;
+  run.connect = [&hub](const std::string& host) { return hub.Connect(host); };
+  run.after_round = [&hub](SimTime) { hub.Drain(); };
+  const FleetRunResult result = RunFleet(run);
+  hub.Drain();
+  EXPECT_GT(result.drainer_polls, result.hosts);
+  EXPECT_EQ(polls->value() - polls0, result.drainer_polls);
+  // Every record a host's drainer emits is ingested by its analyzer.
+  EXPECT_GT(result.records, 0u);
+  EXPECT_EQ(emitted->value() - emitted0, result.records);
+  EXPECT_TRUE(agg.TakeView().clean());
+}
+
 TEST(FleetEndToEnd, StopWithIdleOpenConnectionIsACleanClose) {
   FleetOptions options = Quiet();
   FleetTcpServer server(options);

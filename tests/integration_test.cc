@@ -51,9 +51,9 @@ TEST(IntegrationTest, WorkloadTracePersistsAndReanalysesIdentically) {
 
 TEST(IntegrationTest, LoggingDoesNotPerturbTheWorkload) {
   // Section 3.2's perturbation bound: the instrumented and uninstrumented
-  // runs must perform the same timer operations. Our sinks never feed back
-  // into behaviour, so the bound is exact: a NullSink run and a recording
-  // run of the same seed execute identical schedules.
+  // runs must perform the same timer operations. The trace buffer never
+  // feeds back into behaviour, so the bound is exact: two recording runs of
+  // the same seed execute identical schedules.
   WorkloadOptions options = Short();
   TraceRun recorded = RunLinuxIdle(options);
   TraceRun recorded2 = RunLinuxIdle(options);
@@ -107,7 +107,7 @@ TEST(IntegrationTest, AdaptiveTimeoutOverInstrumentedKernelTimers) {
   // timer traffic appears in the trace like any other client's, so the
   // paper's methodology could observe its own proposed fix.
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   LinuxTimerService service(&kernel, "adaptive/guard", 9);

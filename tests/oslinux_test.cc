@@ -64,7 +64,7 @@ class LinuxKernelTest : public ::testing::Test {
   LinuxKernelTest() : kernel_(&sim_, &buffer_, NoJitter()) { kernel_.Boot(); }
 
   Simulator sim_{1};
-  RelayBuffer buffer_;
+  TraceBuffer buffer_;
   LinuxKernel kernel_;
 };
 
@@ -185,7 +185,7 @@ TEST_F(LinuxKernelTest, ObservedTimeoutMatchesJiffyDelta) {
 
 TEST(LinuxKernelJitterTest, JitterOnlyShrinksObservedValueWithinBound) {
   Simulator sim(7);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel::Options options;
   options.max_set_jitter = 2 * kMillisecond;
   options.jitter_probability = 1.0;
@@ -213,7 +213,7 @@ TEST_F(LinuxKernelTest, PeriodicTickCountsInterrupts) {
 
 TEST(LinuxDynticksTest, IdleSkipsTicks) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -229,7 +229,7 @@ TEST(LinuxDynticksTest, IdleSkipsTicks) {
 
 TEST(LinuxDynticksTest, NewNearTimerReprogramsParkedTick) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -247,7 +247,7 @@ TEST(LinuxDynticksTest, NewNearTimerReprogramsParkedTick) {
 
 TEST(LinuxDeferrableTest, DeferrableDoesNotWakeIdleCpu) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -309,7 +309,7 @@ class LinuxSyscallTest : public ::testing::Test {
   }
 
   Simulator sim_{1};
-  RelayBuffer buffer_;
+  TraceBuffer buffer_;
   LinuxKernel kernel_;
   LinuxSyscalls syscalls_;
   Pid pid_ = 0;
@@ -426,7 +426,7 @@ TEST_F(LinuxSyscallTest, PosixIntervalTimerRepeats) {
 
 TEST(LinuxSubsystemsTest, PeriodicTimersProduceExpectedCallsites) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.block_io_rate = 2.0;
@@ -452,7 +452,7 @@ TEST(LinuxSubsystemsTest, PeriodicTimersProduceExpectedCallsites) {
 
 TEST(LinuxSubsystemsTest, UsbPollRunsAt248ms) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.lan_event_rate = 0;
@@ -474,7 +474,7 @@ TEST(LinuxSubsystemsTest, UsbPollRunsAt248ms) {
 
 TEST(LinuxSubsystemsTest, BlockIoArmsAndCancelsUnplugTimer) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceBuffer buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.workqueue_1s = options.workqueue_2s = options.writeback_5s = false;
@@ -511,13 +511,10 @@ namespace {
 TEST(TimerStatsTest, CountsArmingOperationsPerOrigin) {
   Simulator sim(1);
   TimerStatsCollector stats;
-  RelayBuffer buffer;
-  TeeSink tee;
-  tee.Add(&buffer);
-  tee.Add(&stats);
+  TraceBuffer buffer;
   LinuxKernel::Options opts;
   opts.max_set_jitter = 0;
-  LinuxKernel kernel(&sim, &tee, opts);
+  LinuxKernel kernel(&sim, &buffer, opts);
   kernel.Boot();
   stats.Enable(sim.Now());
 
@@ -529,6 +526,7 @@ TEST(TimerStatsTest, CountsArmingOperationsPerOrigin) {
   kernel.ModTimerRelative(slow, kSecond);
   sim.RunUntil(10 * kSecond);
   stats.Disable(sim.Now());
+  stats.Fold(buffer.records());
 
   const auto rows = stats.Rows();
   ASSERT_EQ(rows.size(), 2u);
@@ -540,18 +538,21 @@ TEST(TimerStatsTest, CountsArmingOperationsPerOrigin) {
   const std::string report = stats.Report(kernel.callsites());
   EXPECT_NE(report.find("net/busy"), std::string::npos);
   EXPECT_NE(report.find("Sample period"), std::string::npos);
-  // And the full trace still reached the study's buffer through the tee.
+  // The collector only read the trace: the full record stream is still in
+  // the study's buffer.
   EXPECT_GT(buffer.records().size(), 200u);
 }
 
 TEST(TimerStatsTest, DisabledCollectorCountsNothing) {
   Simulator sim(1);
   TimerStatsCollector stats;
-  LinuxKernel kernel(&sim, &stats);
+  TraceBuffer buffer;
+  LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   LinuxTimer* t = kernel.InitTimer("a/b", nullptr);
   kernel.ModTimerRelative(t, kSecond);
   sim.RunUntil(2 * kSecond);
+  stats.Fold(buffer.records());
   EXPECT_EQ(stats.total_events(), 0u);
   EXPECT_TRUE(stats.Rows().empty());
 }
@@ -562,7 +563,8 @@ TEST(TimerStatsTest, CannotObserveDurationsOrCancellations) {
   // identical in the report.
   Simulator sim(1);
   TimerStatsCollector stats;
-  LinuxKernel kernel(&sim, &stats);
+  TraceBuffer buffer;
+  LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   stats.Enable(sim.Now());
   LinuxTimer* canceled = kernel.InitTimer("x/canceled", nullptr);
@@ -575,6 +577,7 @@ TEST(TimerStatsTest, CannotObserveDurationsOrCancellations) {
     });
   }
   sim.RunUntil(kMinute);
+  stats.Fold(buffer.records());
   const auto rows = stats.Rows();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].count, rows[1].count);  // indistinguishable

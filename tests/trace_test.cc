@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/sim/cpu.h"
 #include "src/trace/buffer.h"
 #include "src/trace/callsite.h"
 #include "src/trace/codec.h"
 #include "src/trace/record.h"
+#include "src/trace/relay.h"
 
 namespace tempo {
 namespace {
@@ -78,10 +80,16 @@ TEST(CallsiteTest, EmptyStackIsSlotZero) {
   EXPECT_TRUE(registry.Stack(kEmptyStack).empty());
 }
 
-// --- RelayBuffer ---
+// --- TraceBuffer ---
+//
+// The drop/charge contract of the one recording buffer:
+//   * bounded (the relayfs case): charges per Log attempt — relayfs pays
+//     the instrumentation cost before discovering the buffer is full — and
+//     drops only on overflow, keeping old records;
+//   * unbounded (the ETW case): charges per Log and never drops.
 
-TEST(RelayBufferTest, StoresRecordsInOrder) {
-  RelayBuffer buffer(16);
+TEST(TraceBufferTest, StoresRecordsInOrder) {
+  TraceBuffer buffer(16);
   for (int i = 0; i < 5; ++i) {
     buffer.Log(MakeRecord(i, TimerOp::kSet, 1));
   }
@@ -91,9 +99,13 @@ TEST(RelayBufferTest, StoresRecordsInOrder) {
   }
 }
 
-TEST(RelayBufferTest, OverflowDropsNewKeepsOld) {
+TEST(TraceBufferTest, DefaultCapacityIsThePaperRelayfsBuffer) {
+  EXPECT_EQ(TraceBuffer().capacity(), kRelayDefaultCapacity);
+}
+
+TEST(TraceBufferTest, OverflowDropsNewKeepsOld) {
   // relayfs semantics: "new events cannot overwrite old logs".
-  RelayBuffer buffer(3);
+  TraceBuffer buffer(3);
   for (int i = 0; i < 10; ++i) {
     buffer.Log(MakeRecord(i, TimerOp::kSet, 1));
   }
@@ -103,63 +115,27 @@ TEST(RelayBufferTest, OverflowDropsNewKeepsOld) {
   EXPECT_EQ(buffer.dropped(), 7u);
 }
 
-TEST(RelayBufferTest, ChargesCpuCyclesPerRecord) {
+TEST(TraceBufferTest, ChargesCpuCyclesPerRecord) {
   Cpu cpu;
-  RelayBuffer buffer(16);
+  TraceBuffer buffer(16);
   buffer.AttachCpu(&cpu);  // default: the paper's 236 cycles
   buffer.Log(MakeRecord(0, TimerOp::kSet, 1));
   buffer.Log(MakeRecord(1, TimerOp::kCancel, 1));
   EXPECT_EQ(cpu.charged_cycles(), 2 * kPaperLogCostCycles);
 }
 
-TEST(RelayBufferTest, DroppedRecordsStillChargeCycles) {
+TEST(TraceBufferTest, DroppedRecordsStillChargeCycles) {
   Cpu cpu;
-  RelayBuffer buffer(1);
+  TraceBuffer buffer(1);
   buffer.AttachCpu(&cpu, 100);
   buffer.Log(MakeRecord(0, TimerOp::kSet, 1));
   buffer.Log(MakeRecord(1, TimerOp::kSet, 1));
   EXPECT_EQ(cpu.charged_cycles(), 200u);
 }
 
-TEST(RelayBufferTest, TakeRecordsResets) {
-  RelayBuffer buffer(2);
-  buffer.Log(MakeRecord(0, TimerOp::kSet, 1));
-  buffer.Log(MakeRecord(1, TimerOp::kSet, 1));
-  buffer.Log(MakeRecord(2, TimerOp::kSet, 1));
-  EXPECT_EQ(buffer.dropped(), 1u);
-  auto records = buffer.TakeRecords();
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_TRUE(buffer.records().empty());
-  EXPECT_EQ(buffer.dropped(), 0u);
-  buffer.Log(MakeRecord(3, TimerOp::kSet, 1));
-  EXPECT_EQ(buffer.records().size(), 1u);
-}
-
-TEST(NullSinkTest, CountsButDiscards) {
-  NullSink sink;
-  sink.Log(MakeRecord(0, TimerOp::kSet, 1));
-  sink.Log(MakeRecord(1, TimerOp::kSet, 1));
-  EXPECT_EQ(sink.discarded(), 2u);
-}
-
-// Pins the drop/charge contract across all three sinks:
-//   * NullSink counts every record as discarded (by design, not overflow)
-//     and never charges the CPU — it is the unmodified-kernel baseline.
-//   * RelayBuffer charges per Log attempt (relayfs pays the instrumentation
-//     cost before discovering the buffer is full) and drops only on
-//     overflow, keeping old records.
-//   * EtwSession charges per Log and never drops.
-TEST(SinkAccountingTest, NullSinkNeverChargesCpu) {
+TEST(TraceBufferTest, BoundedChargesEvenForDroppedRecords) {
   Cpu cpu;
-  NullSink sink;  // no AttachCpu API: the baseline cannot charge by design
-  sink.Log(MakeRecord(0, TimerOp::kSet, 1));
-  EXPECT_EQ(sink.discarded(), 1u);
-  EXPECT_EQ(cpu.charged_cycles(), 0u);
-}
-
-TEST(SinkAccountingTest, RelayBufferChargesEvenForDroppedRecords) {
-  Cpu cpu;
-  RelayBuffer buffer(2);
+  TraceBuffer buffer(2);
   buffer.AttachCpu(&cpu, 100);
   for (int i = 0; i < 5; ++i) {
     buffer.Log(MakeRecord(i, TimerOp::kSet, 1));
@@ -172,30 +148,43 @@ TEST(SinkAccountingTest, RelayBufferChargesEvenForDroppedRecords) {
   EXPECT_EQ(buffer.records()[1].timestamp, 1);
 }
 
-TEST(SinkAccountingTest, EtwSessionChargesAndNeverDrops) {
+TEST(TraceBufferTest, TakeRecordsResets) {
+  TraceBuffer buffer(2);
+  buffer.Log(MakeRecord(0, TimerOp::kSet, 1));
+  buffer.Log(MakeRecord(1, TimerOp::kSet, 1));
+  buffer.Log(MakeRecord(2, TimerOp::kSet, 1));
+  EXPECT_EQ(buffer.dropped(), 1u);
+  auto records = buffer.TakeRecords();
+  EXPECT_EQ(records.size(), 2u);
+  EXPECT_TRUE(buffer.records().empty());
+  EXPECT_EQ(buffer.logged(), 0u);
+  EXPECT_EQ(buffer.dropped(), 0u);
+  buffer.Log(MakeRecord(3, TimerOp::kSet, 1));
+  EXPECT_EQ(buffer.records().size(), 1u);
+}
+
+TEST(TraceBufferTest, UnboundedChargesEveryRecordAndNeverDrops) {
   Cpu cpu;
-  EtwSession session;
+  TraceBuffer session(TraceBuffer::kUnbounded, "etw");
   session.AttachCpu(&cpu, kPaperLogCostCycles);
   for (int i = 0; i < 10; ++i) {
     session.Log(MakeRecord(i, TimerOp::kSet, 1));
   }
   EXPECT_EQ(session.records().size(), 10u);
   EXPECT_EQ(cpu.charged_cycles(), 10 * kPaperLogCostCycles);
+  EXPECT_EQ(session.dropped(), 0u);
 }
 
-TEST(EtwSessionTest, Unbounded) {
-  EtwSession session;
+TEST(TraceBufferTest, Unbounded) {
+  TraceBuffer session(TraceBuffer::kUnbounded, "etw");
   for (int i = 0; i < 1000; ++i) {
     session.Log(MakeRecord(i, TimerOp::kSet, 1));
   }
   EXPECT_EQ(session.records().size(), 1000u);
 }
 
-TEST(EtwSessionTest, GrowthBeyondInternalRingLosesNothing) {
-  // The session is backed by a fixed relay ring (32Ki records by default)
-  // that spills into the materialized vector when it fills; growth far past
-  // the ring must stay lossless and ordered.
-  EtwSession session;
+TEST(TraceBufferTest, UnboundedGrowthLosesNothing) {
+  TraceBuffer session(TraceBuffer::kUnbounded, "etw");
   constexpr int kRecords = 100000;
   for (int i = 0; i < kRecords; ++i) {
     session.Log(MakeRecord(i, TimerOp::kSet, 1));
@@ -212,18 +201,50 @@ TEST(EtwSessionTest, GrowthBeyondInternalRingLosesNothing) {
   EXPECT_EQ(session.records().size(), 1u);
 }
 
-TEST(EtwSessionTest, AttachCpuChargesEveryRecordAcrossGrowth) {
-  // Cycle charging must cover every Log, including the ones that trigger a
-  // ring spill on their way in.
+TEST(TraceBufferTest, UnboundedChargesEveryRecordAcrossGrowth) {
+  // Cycle charging covers every Log, however far the buffer grows.
   Cpu cpu;
-  EtwSession session;
+  TraceBuffer session(TraceBuffer::kUnbounded, "etw");
   session.AttachCpu(&cpu, 10);
-  constexpr int kRecords = 50000;  // > the 32Ki internal ring
+  constexpr int kRecords = 50000;
   for (int i = 0; i < kRecords; ++i) {
     session.Log(MakeRecord(i, TimerOp::kSet, 1));
   }
   EXPECT_EQ(session.records().size(), static_cast<size_t>(kRecords));
   EXPECT_EQ(cpu.charged_cycles(), static_cast<uint64_t>(kRecords) * 10);
+  EXPECT_EQ(session.dropped(), 0u);
+}
+
+TEST(TraceBufferTest, LiveTapAndCountersSeeOnlyAcceptedRecords) {
+  // A bounded buffer tees exactly the records it accepts; its obs counters
+  // split the attempts into logged and dropped and charge every one.
+  const obs::Labels labels = {{"sink", "tap_test"}};
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* logged = registry.GetCounter("trace_records_logged", labels);
+  obs::Counter* dropped = registry.GetCounter("trace_records_dropped", labels);
+  obs::Counter* charged = registry.GetCounter("trace_charged_cycles", labels);
+  const uint64_t logged0 = logged->value();
+  const uint64_t dropped0 = dropped->value();
+  const uint64_t charged0 = charged->value();
+
+  Cpu cpu;
+  RelayChannel tap("tap");
+  TraceBuffer buffer(3, "tap_test");
+  buffer.AttachCpu(&cpu, 50);
+  buffer.SetLiveTap(&tap);
+  for (int i = 0; i < 10; ++i) {
+    buffer.Log(MakeRecord(i, TimerOp::kSet, 1));
+  }
+  tap.FlushOpen();
+  std::vector<TraceRecord> teed;
+  tap.Harvest(&teed);
+  ASSERT_EQ(teed.size(), 3u);
+  for (size_t i = 0; i < teed.size(); ++i) {
+    EXPECT_EQ(teed[i].timestamp, buffer.records()[i].timestamp);
+  }
+  EXPECT_EQ(logged->value() - logged0, 3u);
+  EXPECT_EQ(dropped->value() - dropped0, 7u);
+  EXPECT_EQ(charged->value() - charged0, 10u * 50);
 }
 
 // --- codec ---

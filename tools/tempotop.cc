@@ -50,27 +50,6 @@ constexpr const char* kWorkloadList =
     "  workloads: linux-{idle,skype,firefox,webserver},\n"
     "             vista-{idle,skype,firefox,webserver,desktop}, service\n";
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 // Labels every registered process by its own name; pids the table does not
 // know (there are none in practice) fall under "System".
 RateGrouping GroupingFrom(const ProcessTable& table) {
@@ -153,7 +132,7 @@ void PrintJsonSeries(std::string* out, const char* key,
                   ",\"mean_rate\":%.3f,\"last_rate\":%.3f,\"peak_rate\":%.3f"
                   ",\"peak_at_s\":%.3f,\"burst_active\":%s,\"bursts\":%" PRIu64
                   ",\"burst_peak_rate\":%.3f}",
-                  JsonEscape(s.label).c_str(), s.sets, s.expires, s.cancels,
+                  obs::JsonEscape(s.label).c_str(), s.sets, s.expires, s.cancels,
                   s.mean_rate, s.last_rate, s.peak_rate, s.peak_at_s,
                   s.burst_active ? "true" : "false", s.bursts, s.burst_peak_rate);
     *out += buf;
@@ -184,7 +163,7 @@ void PrintJson(std::FILE* out, const std::string& workload,
   std::snprintf(buf, sizeof(buf),
                 "\"workload\":\"%s\",\"now_s\":%.3f,\"window_s\":%.3f,"
                 "\"records\":%" PRIu64 ",",
-                JsonEscape(workload).c_str(), ToSeconds(snap.now),
+                obs::JsonEscape(workload).c_str(), ToSeconds(snap.now),
                 ToSeconds(snap.window), snap.records);
   json += buf;
   PrintJsonLatency(&json, slack);
@@ -214,7 +193,7 @@ void PrintJson(std::FILE* out, const std::string& workload,
     std::snprintf(buf, sizeof(buf),
                   "{\"channel\":\"%s\",\"accepted\":%" PRIu64 ",\"dropped\":%" PRIu64
                   "}",
-                  JsonEscape(ch->name()).c_str(), ch->accepted(), ch->dropped());
+                  obs::JsonEscape(ch->name()).c_str(), ch->accepted(), ch->dropped());
     json += buf;
   }
   json += "],\"metrics\":";
@@ -418,7 +397,7 @@ void PrintFleetJson(std::FILE* out, const fleet::FleetView& view) {
                     "{\"label\":\"%s\",\"hosts\":%" PRIu64 ",\"sets\":%" PRIu64
                     ",\"rate\":%.3f,\"peak_rate\":%.3f,\"hosts_bursting\":%" PRIu64
                     ",\"bursts\":%" PRIu64 ",\"burst_peak_rate\":%.3f}",
-                    JsonEscape(s.label).c_str(), s.hosts, s.sets, s.rate_sum,
+                    obs::JsonEscape(s.label).c_str(), s.hosts, s.sets, s.rate_sum,
                     s.peak_rate, s.hosts_bursting, s.bursts, s.burst_peak_rate);
       json += buf;
     }
@@ -442,7 +421,7 @@ void PrintFleetJson(std::FILE* out, const fleet::FleetView& view) {
       json += ",";
     }
     std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64,
-                  JsonEscape(view.patterns[i].first).c_str(),
+                  obs::JsonEscape(view.patterns[i].first).c_str(),
                   view.patterns[i].second);
     json += buf;
   }

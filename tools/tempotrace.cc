@@ -21,42 +21,13 @@
 
 #include "src/analysis/latency.h"
 #include "src/analysis/lifetimes.h"
+#include "src/obs/snapshot.h"
 #include "src/sim/time.h"
 #include "src/trace/file.h"
 #include "tools/common.h"
 
 namespace tempo {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Microseconds with nanosecond precision — the trace-event clock unit.
 std::string Us(SimTime ns) {
@@ -426,7 +397,7 @@ int Run(int argc, char** argv) {
   std::map<SimTime, int64_t> depth_delta;
   std::map<int64_t, SlackHist> window_slack;  // window index -> fired slacks
   for (const Episode& e : episodes) {
-    const std::string name = EscapeJson(trace->callsites.Name(e.callsite));
+    const std::string name = obs::JsonEscape(trace->callsites.Name(e.callsite));
     std::string body = "{\"name\":\"" + name + "\",\"cat\":\"timer\",\"ph\":\"X\"";
     char fixed[256];
     std::snprintf(fixed, sizeof(fixed),
