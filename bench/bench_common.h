@@ -3,16 +3,16 @@
 // Each bench binary regenerates one table or figure from the paper and
 // prints the paper's reported values next to the measured ones so the
 // shapes can be compared directly (EXPERIMENTS.md records the comparison).
-// Workload benches run the full 30-minute traces of Section 3.5; set
-// TEMPO_QUICK=1 in the environment for 3-minute runs.
+// Workload benches run the full 30-minute traces of Section 3.5; quick and
+// smoke runs (bench/harness.h reads the mode) run 3 minutes.
 
 #ifndef TEMPO_BENCH_BENCH_COMMON_H_
 #define TEMPO_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench/harness.h"
 #include "src/workloads/run.h"
 
 namespace tempo {
@@ -22,8 +22,7 @@ inline WorkloadOptions BenchOptions() {
   WorkloadOptions options;
   options.duration = 30 * kMinute;
   options.seed = 2008;  // EuroSys'08
-  const char* quick = std::getenv("TEMPO_QUICK");
-  if (quick != nullptr && quick[0] == '1') {
+  if (bench::RunMode() != bench::Mode::kFull) {
     options.duration = 3 * kMinute;
   }
   return options;

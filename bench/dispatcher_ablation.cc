@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/adaptive/timer_service.h"
+#include "src/adaptive/timer_surface.h"
 #include "src/dispatcher/dispatcher.h"
 
 namespace tempo {

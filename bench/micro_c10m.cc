@@ -16,13 +16,15 @@
 //      timers >= 2x connections, teardown drains the service to zero, and
 //      the report fingerprint is deterministic in the seed.
 //
-// Gates: `gate_1m` (all backends complete the 1M churn with exact
-// accounting) and `gate_server` must pass on any box that can run the
-// bench at full size; `gate_10m` self-skips — never vacuously passes —
-// when the projected footprint does not fit in available memory.
-// TEMPO_QUICK / TEMPO_SMOKE shrink the populations and mark the full-size
-// gates "skipped: ..." so a small run can never masquerade as a green
-// full-size one.
+// Gates: `churn_1m` (all backends complete the 1M churn with exact
+// accounting) and `server` must pass on any box that can run the bench at
+// full size; `churn_10m` self-skips — never vacuously passes — when the
+// projected footprint does not fit in available memory. Quick and smoke
+// runs shrink the populations and mark those three gates "skipped: ..."
+// so a small run can never masquerade as a green full-size one. Two
+// gates hold at every size: `accounting` (exact churn accounting and a
+// server that tears down to zero live timers) and `identity` (serial ==
+// threaded server reports).
 //
 // --proof runs only part 2 at full size (the c10m_million ctest); --queue
 // selects the server backend (tools/common convention).
@@ -31,12 +33,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/net/server.h"
 #include "src/obs/probe.h"
 #include "src/sim/random.h"
@@ -76,6 +78,7 @@ struct ChurnResult {
 // The connection op mix: 60% reschedule (keepalive/idle re-arm), 25%
 // cancel+schedule (ACK kills the insurance timer, next segment re-arms),
 // 15% advance a little (ticks interleave with ops in a real server).
+// Prints one result line.
 ChurnResult RunChurn(const std::string& queue_name, size_t population, int run_id) {
   ChurnResult result;
   result.queue = queue_name;
@@ -159,6 +162,15 @@ ChurnResult RunChurn(const std::string& queue_name, size_t population, int run_i
   ok = ok && drained == remaining && queue->Size() == 0 &&
        queue->NextExpiry() == kNeverTime;
   result.accounting_ok = ok;
+  std::printf("  %-20s %9zu timers  insert %7.1f  churn %7.1f  expire %7.1f "
+              "cyc/op  %6.1f B/timer%s%s\n",
+              result.queue.c_str(), result.population, result.insert_cycles_per_op,
+              result.churn_cycles_per_op, result.expire_cycles_per_op,
+              result.bytes_per_timer,
+              result.ttl_buckets > 0
+                  ? ("  ttl_buckets=" + std::to_string(result.ttl_buckets)).c_str()
+                  : "",
+              ok ? "" : "  ACCOUNTING MISMATCH");
   return result;
 }
 
@@ -278,11 +290,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
-  const bool quick = !smoke && quick_env != nullptr && quick_env[0] == '1';
-  const char* mode = smoke ? "smoke" : quick ? "quick" : "full";
+  bench::Harness harness("micro_c10m", "BENCH_c10m.json");
+  const bool smoke = harness.smoke();
+  const bool quick = harness.mode() == bench::Mode::kQuick;
+  const char* mode = bench::ModeName(harness.mode());
 
   // Population tiers. The small modes exercise identical code on smaller
   // sets; their full-size gates are marked skipped, never passed.
@@ -309,21 +320,13 @@ int main(int argc, char** argv) {
   for (const std::string& name : TimerQueueNames()) {
     const ChurnResult r = RunChurn(name, base_population, run_id++);
     base_ok = base_ok && r.accounting_ok;
-    std::printf("  %-20s %9zu timers  insert %7.1f  churn %7.1f  expire %7.1f "
-                "cyc/op  %6.1f B/timer%s%s\n",
-                r.queue.c_str(), r.population, r.insert_cycles_per_op,
-                r.churn_cycles_per_op, r.expire_cycles_per_op, r.bytes_per_timer,
-                r.ttl_buckets > 0
-                    ? ("  ttl_buckets=" + std::to_string(r.ttl_buckets)).c_str()
-                    : "",
-                r.accounting_ok ? "" : "  ACCOUNTING MISMATCH");
     churn.push_back(r);
   }
 
   // 10M tier: project the footprint from the measured bytes/timer (plus
   // the transient batch-entry buffer) and skip honestly if it cannot fit.
-  std::string gate_10m = "skipped: not a full run";
-  if (!smoke && !quick) {
+  bench::Gate churn_10m = bench::Gate::Skipped("not a full run");
+  if (harness.full()) {
     double worst_bpt = 0;
     for (const ChurnResult& r : churn) {
       worst_bpt = std::max(worst_bpt, r.bytes_per_timer);
@@ -333,30 +336,20 @@ int main(int argc, char** argv) {
         static_cast<double>(big_population) * sizeof(TimerBatchEntry));
     const size_t available = AvailableMemoryBytes();
     if (available == 0) {
-      gate_10m = "skipped: cannot read MemAvailable";
+      churn_10m = bench::Gate::Skipped("cannot read MemAvailable");
     } else if (projected > available) {
-      char buf[128];
-      std::snprintf(buf, sizeof buf,
-                    "skipped: projected %zu MB > available %zu MB",
-                    projected >> 20, available >> 20);
-      gate_10m = buf;
+      churn_10m = bench::Gate::Skipped("projected " + std::to_string(projected >> 20) +
+                                       " MB > available " +
+                                       std::to_string(available >> 20) + " MB");
     } else {
       std::printf("\n");
       bool big_ok = true;
       for (const std::string& name : TimerQueueNames()) {
         const ChurnResult r = RunChurn(name, big_population, run_id++);
         big_ok = big_ok && r.accounting_ok;
-        std::printf("  %-20s %9zu timers  insert %7.1f  churn %7.1f  expire %7.1f "
-                    "cyc/op  %6.1f B/timer%s%s\n",
-                    r.queue.c_str(), r.population, r.insert_cycles_per_op,
-                    r.churn_cycles_per_op, r.expire_cycles_per_op, r.bytes_per_timer,
-                    r.ttl_buckets > 0
-                        ? ("  ttl_buckets=" + std::to_string(r.ttl_buckets)).c_str()
-                        : "",
-                    r.accounting_ok ? "" : "  ACCOUNTING MISMATCH");
         churn.push_back(r);
       }
-      gate_10m = big_ok ? "pass" : "fail";
+      churn_10m = bench::Gate::Check(big_ok);
     }
   }
 
@@ -364,65 +357,49 @@ int main(int argc, char** argv) {
   const ServerResult server = RunServer(queue, server_connections);
   PrintServerResult(server);
 
-  const std::string gate_1m =
-      smoke || quick ? std::string("skipped: ") + mode + " run"
-                     : (base_ok ? "pass" : "fail");
-  const std::string gate_server =
-      (smoke || quick) && !args.Has("connections")
-          ? std::string("skipped: ") + mode + " run"
-          : (server.identity_ok && server.proof_ok ? "pass" : "fail");
-  // Identity and accounting still gate the small modes: a smoke run that
-  // leaks timers or diverges between serial and threaded must fail loudly.
-  const bool small_ok = base_ok && server.identity_ok &&
-                        server.proof.final_live_timers == 0;
-
-  std::printf("\ngates: 1m=%s  10m=%s  server=%s\n", gate_1m.c_str(), gate_10m.c_str(),
-              gate_server.c_str());
-
-  FILE* out = std::fopen("BENCH_c10m.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"experiment\": \"micro_c10m\",\n");
-    std::fprintf(out, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(out, "  \"churn\": [\n");
-    for (size_t i = 0; i < churn.size(); ++i) {
-      const ChurnResult& r = churn[i];
-      std::fprintf(out,
-                   "    {\"queue\": \"%s\", \"population\": %zu, "
-                   "\"insert_cycles_per_op\": %.1f, \"churn_cycles_per_op\": %.1f, "
-                   "\"expire_cycles_per_op\": %.1f, \"bytes_per_timer\": %.1f, "
-                   "\"ttl_buckets\": %zu, \"accounting_ok\": %s}%s\n",
-                   r.queue.c_str(), r.population, r.insert_cycles_per_op,
-                   r.churn_cycles_per_op, r.expire_cycles_per_op, r.bytes_per_timer,
-                   r.ttl_buckets, r.accounting_ok ? "true" : "false",
-                   i + 1 < churn.size() ? "," : "");
+  // Identity and accounting gate every size: a smoke run that leaks
+  // timers or diverges between serial and threaded must fail loudly.
+  harness.AddGate("accounting",
+                  bench::Gate::Check(base_ok && server.proof.final_live_timers == 0));
+  harness.AddGate("identity", bench::Gate::Check(server.identity_ok));
+  bench::Gate churn_1m = bench::Gate::Check(base_ok);
+  bench::Gate server_gate = bench::Gate::Check(server.identity_ok && server.proof_ok);
+  if (!harness.full()) {
+    churn_1m.Skip(std::string(mode) + " run");
+    if (!args.Has("connections")) {
+      server_gate.Skip(std::string(mode) + " run");
     }
-    std::fprintf(out, "  ],\n");
-    const C10MReport& r = server.proof;
-    std::fprintf(out,
-                 "  \"server\": {\"queue\": \"%s\", \"connections\": %zu, "
-                 "\"peak_live_timers\": %llu, \"timers_scheduled\": %llu, "
-                 "\"timers_rescheduled\": %llu, \"timers_canceled\": %llu, "
-                 "\"teardown_canceled\": %llu, \"final_live_timers\": %llu, "
-                 "\"fingerprint\": \"%016llx\", \"identity_ok\": %s, "
-                 "\"wall_seconds\": %.2f},\n",
-                 server.queue.c_str(), r.connections,
-                 static_cast<unsigned long long>(r.peak_live_timers),
-                 static_cast<unsigned long long>(r.timers_scheduled),
-                 static_cast<unsigned long long>(r.timers_rescheduled),
-                 static_cast<unsigned long long>(r.timers_canceled),
-                 static_cast<unsigned long long>(r.teardown_canceled),
-                 static_cast<unsigned long long>(r.final_live_timers),
-                 static_cast<unsigned long long>(r.fingerprint),
-                 server.identity_ok ? "true" : "false", server.wall_seconds);
-    std::fprintf(out, "  \"gate_1m\": {\"status\": \"%s\"},\n", gate_1m.c_str());
-    std::fprintf(out, "  \"gate_10m\": {\"status\": \"%s\"},\n", gate_10m.c_str());
-    std::fprintf(out, "  \"gate_server\": {\"status\": \"%s\"}\n", gate_server.c_str());
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_c10m.json\n");
   }
+  harness.AddGate("churn_1m", churn_1m);
+  harness.AddGate("churn_10m", churn_10m);
+  harness.AddGate("server", server_gate);
 
-  const bool gates_ok = gate_1m != "fail" && gate_10m != "fail" &&
-                        gate_server != "fail" && small_ok;
-  return gates_ok ? 0 : 1;
+  obs::JsonValue& rows = harness.Set("churn", obs::JsonValue::Array());
+  for (const ChurnResult& r : churn) {
+    obs::JsonValue& row = rows.Push(obs::JsonValue::Object());
+    row.Set("queue", r.queue);
+    row.Set("population", r.population);
+    row.Set("insert_cycles_per_op", r.insert_cycles_per_op);
+    row.Set("churn_cycles_per_op", r.churn_cycles_per_op);
+    row.Set("expire_cycles_per_op", r.expire_cycles_per_op);
+    row.Set("bytes_per_timer", r.bytes_per_timer);
+    row.Set("ttl_buckets", r.ttl_buckets);
+    row.Set("accounting_ok", r.accounting_ok);
+  }
+  const C10MReport& r = server.proof;
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                static_cast<unsigned long long>(r.fingerprint));
+  obs::JsonValue& server_json = harness.Set("server", obs::JsonValue::Object());
+  server_json.Set("queue", server.queue);
+  server_json.Set("connections", r.connections);
+  server_json.Set("peak_live_timers", r.peak_live_timers);
+  server_json.Set("timers_scheduled", r.timers_scheduled);
+  server_json.Set("timers_rescheduled", r.timers_rescheduled);
+  server_json.Set("timers_canceled", r.timers_canceled);
+  server_json.Set("teardown_canceled", r.teardown_canceled);
+  server_json.Set("final_live_timers", r.final_live_timers);
+  server_json.Set("fingerprint", fingerprint);
+  server_json.Set("wall_seconds", server.wall_seconds);
+  return harness.Finish();
 }

@@ -16,14 +16,15 @@
 // 3 GHz core aggregates a six-figure host fleet). Results go to
 // BENCH_fleet.json.
 //
-// TEMPO_QUICK=1 / TEMPO_SMOKE=1 shrink the round count for CI; the gate
-// still runs (it is a per-host-second number, not a throughput number).
+// Quick and smoke runs shrink the round count for CI; the gate still runs
+// (it is a per-host-second number, not a throughput number). A second
+// gate, lossless, requires every frame to decode and reach the view.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/fleet/aggregator.h"
 #include "src/fleet/wire.h"
 #include "src/obs/probe.h"
@@ -83,10 +84,8 @@ fleet::HostSummary MakeSummary(const std::string& host, uint64_t h, uint64_t r) 
 
 int main() {
   using namespace tempo;
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const bool quick = (quick_env != nullptr && quick_env[0] == '1') ||
-                     (smoke_env != nullptr && smoke_env[0] == '1');
+  bench::Harness harness("micro_fleet_aggregator", "BENCH_fleet.json");
+  const bool quick = !harness.full();
   const uint64_t hosts = 64;
   const uint64_t rounds = quick ? 40 : 400;
 
@@ -146,34 +145,15 @@ int main() {
 
   const bool sane = lossless && view.hosts_total == hosts &&
                     view.frames_total == hosts * rounds && view.clean();
-  if (!sane) {
-    std::fprintf(stderr, "error: collection path lost frames\n");
-  }
-  const bool gate_pass = sane && per_host_second <= kGateCyclesPerHostSecond;
-  std::printf("aggregator gate (<=%.0f cycles/host-second): %s\n",
-              kGateCyclesPerHostSecond, gate_pass ? "pass" : "fail");
-
-  std::FILE* json = std::fopen("BENCH_fleet.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_fleet_aggregator\",\n");
-    std::fprintf(json, "  \"hosts\": %llu,\n",
-                 static_cast<unsigned long long>(hosts));
-    std::fprintf(json, "  \"rounds\": %llu,\n",
-                 static_cast<unsigned long long>(rounds));
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"publish_period_s\": %.1f,\n", ToSeconds(kPublishPeriod));
-    std::fprintf(json, "  \"bytes_per_frame\": %.0f,\n",
-                 static_cast<double>(bytes) / static_cast<double>(frames));
-    std::fprintf(json, "  \"cycles_per_frame\": %.0f,\n", per_frame);
-    std::fprintf(json, "  \"cycles_per_host_second\": %.0f,\n", per_host_second);
-    std::fprintf(json, "  \"gate\": {\"threshold\": %.0f, \"cycles_per_host_second\": "
-                       "%.0f, \"status\": \"%s\"}\n",
-                 kGateCyclesPerHostSecond, per_host_second,
-                 gate_pass ? "pass" : "fail");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_fleet.json\n");
-  }
-  return gate_pass ? 0 : 1;
+  harness.AddGate("lossless", bench::Gate::Check(sane));
+  harness.AddGate("cycles_per_host_second",
+                  bench::Gate::Compare(per_host_second <= kGateCyclesPerHostSecond,
+                                       kGateCyclesPerHostSecond, per_host_second));
+  harness.Set("hosts", hosts);
+  harness.Set("rounds", rounds);
+  harness.Set("publish_period_s", ToSeconds(kPublishPeriod));
+  harness.Set("bytes_per_frame", static_cast<double>(bytes) / static_cast<double>(frames));
+  harness.Set("cycles_per_frame", per_frame);
+  harness.Set("cycles_per_host_second", per_host_second);
+  return harness.Finish();
 }

@@ -9,26 +9,26 @@
 // drain path twice: once into a counting sink, once into a SlackTracker,
 // and charges the difference to the tracker.
 //
-// Two checks:
-//   identity — the tracker's fold must equal the offline SlackState fold
-//     over the same stream (the tentpole's live == offline contract). This
-//     is a correctness assert and runs at every size; a mismatch exits 1.
-//   gate — the tracker must add at most kGateCyclesPerRecord cycles per
-//     record. Cycle measurements on a small smoke stream are noise, so
-//     TEMPO_QUICK/TEMPO_SMOKE runs mark the gate "skipped: smoke run" —
-//     never "pass" — and only a full run can pass or fail it.
+// Two gates:
+//   live_offline_identity — the tracker's fold must equal the offline
+//     SlackState fold over the same stream (the live == offline contract),
+//     and the drain path must emit every record. A correctness check: it
+//     runs at every size.
+//   overhead — the tracker must add at most kGateCyclesPerRecord cycles
+//     per record. Cycle measurements on a small smoke stream are noise, so
+//     quick and smoke runs mark the gate "skipped: smoke run" — never
+//     "pass" — and only a full run can pass or fail it.
 //
 // Results go to BENCH_latency.json.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/drain_path.h"
+#include "bench/harness.h"
 #include "src/analysis/latency.h"
 #include "src/live/slack_tracker.h"
-#include "src/obs/probe.h"
-#include "src/trace/relay.h"
 
 namespace tempo {
 namespace {
@@ -83,40 +83,13 @@ std::vector<TraceRecord> GenerateStream(size_t count) {
   return records;
 }
 
-// Drains `records` through a relay channel into `emit`, the way a real run
-// reaches the tracker, and returns cycles per record for the whole drain
-// path (harvest + merge + emit).
-template <typename Emit>
-double DrainCyclesPerRecord(const std::vector<TraceRecord>& records, Emit emit) {
-  RelayChannelSet channels;
-  RelayChannel* lane = channels.Register("bench/latency");
-  RelayDrainer drainer(&channels, emit);
-  const uint64_t begin = obs::WallCycleClock();
-  size_t logged = 0;
-  for (const TraceRecord& r : records) {
-    if (!lane->TryLog(r)) {
-      drainer.Poll();
-      lane->TryLog(r);
-    }
-    if (++logged % 4096 == 0) {
-      drainer.Poll();
-    }
-  }
-  channels.CloseAll();
-  drainer.Finish();
-  const uint64_t cycles = obs::WallCycleClock() - begin;
-  return static_cast<double>(cycles) / static_cast<double>(records.size());
-}
-
 }  // namespace
 }  // namespace tempo
 
 int main() {
   using namespace tempo;
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const bool quick = (quick_env != nullptr && quick_env[0] == '1') ||
-                     (smoke_env != nullptr && smoke_env[0] == '1');
+  bench::Harness harness("micro_latency", "BENCH_latency.json");
+  const bool quick = !harness.full();
   const size_t record_count = quick ? 500'000 : 5'000'000;
 
   std::printf("micro_latency: %zu records%s\n", record_count, quick ? " (quick)" : "");
@@ -125,12 +98,12 @@ int main() {
   // Baseline: the drain path with a do-nothing consumer.
   size_t sink_count = 0;
   const double base_cycles = DrainCyclesPerRecord(
-      records, [&sink_count](const TraceRecord&) { ++sink_count; });
+      records, "bench/latency", [&sink_count](const TraceRecord&) { ++sink_count; });
 
   // SlackTracker on the same stream, obs instruments live like tempotop's.
   live::SlackTracker tracker("bench");
   const double tracked_cycles = DrainCyclesPerRecord(
-      records, [&tracker](const TraceRecord& r) { tracker.Ingest(r); });
+      records, "bench/latency", [&tracker](const TraceRecord& r) { tracker.Ingest(r); });
   tracker.SyncObs();
   const double delta = tracked_cycles - base_cycles;
 
@@ -150,42 +123,22 @@ int main() {
               static_cast<unsigned long long>(tracker.state().rearmed_spans()),
               FormatDuration(static_cast<SimDuration>(total.Quantile(0.50))).c_str(),
               FormatDuration(static_cast<SimDuration>(total.Quantile(0.99))).c_str());
-  std::printf("live == offline identity: %s\n", identical ? "pass" : "FAIL");
-  if (!identical || sink_count != records.size()) {
-    std::fprintf(stderr, "error: %s\n",
-                 identical ? "drain path lost records" : "live fold diverged");
-    return 1;
-  }
-
+  harness.AddGate("live_offline_identity",
+                  bench::Gate::Check(identical && sink_count == records.size()));
   // Cycle gates are meaningless on a smoke-sized stream: mark skipped, not
   // passed, so a green smoke run can never masquerade as a bench result.
-  const bool gate_pass = delta <= kGateCyclesPerRecord;
-  const std::string gate_status =
-      quick ? "skipped: smoke run" : (gate_pass ? "pass" : "fail");
-  std::printf("overhead gate (<=%.0f cycles/record): %s\n", kGateCyclesPerRecord,
-              gate_status.c_str());
-
-  std::FILE* json = std::fopen("BENCH_latency.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_latency\",\n");
-    std::fprintf(json, "  \"records\": %zu,\n", record_count);
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"drain_cycles_per_record\": %.1f,\n", base_cycles);
-    std::fprintf(json, "  \"tracked_cycles_per_record\": %.1f,\n", tracked_cycles);
-    std::fprintf(json, "  \"tracker_cycles_per_record\": %.1f,\n", delta);
-    std::fprintf(json, "  \"fired_spans\": %llu,\n",
-                 static_cast<unsigned long long>(tracker.state().fired_spans()));
-    std::fprintf(json, "  \"slack_p50_ns\": %.0f,\n", total.Quantile(0.50));
-    std::fprintf(json, "  \"slack_p99_ns\": %.0f,\n", total.Quantile(0.99));
-    std::fprintf(json, "  \"live_offline_identical\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(json, "  \"gate\": {\"threshold\": %.0f, \"added\": %.1f, "
-                       "\"status\": \"%s\"}\n",
-                 kGateCyclesPerRecord, delta, gate_status.c_str());
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_latency.json\n");
+  bench::Gate overhead =
+      bench::Gate::Compare(delta <= kGateCyclesPerRecord, kGateCyclesPerRecord, delta);
+  if (quick) {
+    overhead.Skip("smoke run");
   }
-  return quick || gate_pass ? 0 : 1;
+  harness.AddGate("overhead", overhead);
+  harness.Set("records", record_count);
+  harness.Set("drain_cycles_per_record", base_cycles);
+  harness.Set("tracked_cycles_per_record", tracked_cycles);
+  harness.Set("tracker_cycles_per_record", delta);
+  harness.Set("fired_spans", tracker.state().fired_spans());
+  harness.Set("slack_p50_ns", total.Quantile(0.50));
+  harness.Set("slack_p99_ns", total.Quantile(0.99));
+  return harness.Finish();
 }

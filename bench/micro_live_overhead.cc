@@ -11,22 +11,22 @@
 // (rate rings + burst detector + online classifier) — and charges the
 // difference to the analyzer.
 //
-// Gate: the analyzer must add at most kGateCyclesPerRecord cycles per
-// record (generous: the hot path is two hash probes, a ring increment and
-// a classifier transition). Results go to BENCH_live.json.
+// Gates: overhead — the analyzer must add at most kGateCyclesPerRecord
+// cycles per record (generous: the hot path is two hash probes, a ring
+// increment and a classifier transition); lossless — both drains and the
+// analyzer see every record. Results go to BENCH_live.json.
 //
-// TEMPO_QUICK=1 / TEMPO_SMOKE=1 shrink the stream for CI; the gate still
+// Quick and smoke runs shrink the stream for CI; the overhead gate still
 // runs (it is a per-record number, not a throughput number).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/drain_path.h"
+#include "bench/harness.h"
 #include "src/analysis/rates.h"
 #include "src/live/live_analyzer.h"
-#include "src/obs/probe.h"
-#include "src/trace/relay.h"
 
 namespace tempo {
 namespace {
@@ -74,42 +74,13 @@ std::vector<TraceRecord> GenerateStream(size_t count) {
   return records;
 }
 
-// Drains `records` through a relay channel into `emit`, the way a real run
-// reaches the analyzer, and returns cycles per record for the whole drain
-// path (harvest + merge + emit).
-template <typename Emit>
-double DrainCyclesPerRecord(const std::vector<TraceRecord>& records, Emit emit) {
-  RelayChannelSet channels;
-  RelayChannel* lane = channels.Register("bench/live");
-  RelayDrainer drainer(&channels, emit);
-  const uint64_t begin = obs::WallCycleClock();
-  size_t logged = 0;
-  for (const TraceRecord& r : records) {
-    if (!lane->TryLog(r)) {
-      // Ring full: drain in place (single-threaded bench, same work the
-      // consumer thread would do).
-      drainer.Poll();
-      lane->TryLog(r);
-    }
-    if (++logged % 4096 == 0) {
-      drainer.Poll();
-    }
-  }
-  channels.CloseAll();
-  drainer.Finish();
-  const uint64_t cycles = obs::WallCycleClock() - begin;
-  return static_cast<double>(cycles) / static_cast<double>(records.size());
-}
-
 }  // namespace
 }  // namespace tempo
 
 int main() {
   using namespace tempo;
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const bool quick = (quick_env != nullptr && quick_env[0] == '1') ||
-                     (smoke_env != nullptr && smoke_env[0] == '1');
+  bench::Harness harness("micro_live_overhead", "BENCH_live.json");
+  const bool quick = !harness.full();
   const size_t record_count = quick ? 500'000 : 5'000'000;
 
   std::printf("micro_live_overhead: %zu records%s\n", record_count,
@@ -119,7 +90,7 @@ int main() {
   // Baseline: the drain path with a do-nothing consumer.
   size_t sink_count = 0;
   const double base_cycles = DrainCyclesPerRecord(
-      records, [&sink_count](const TraceRecord&) { ++sink_count; });
+      records, "bench/live", [&sink_count](const TraceRecord&) { ++sink_count; });
 
   // Full live analyzer on the same stream, with a per-pid grouping like
   // tempotop builds.
@@ -133,7 +104,7 @@ int main() {
   options.classifier.stats_label = "bench";
   live::LiveAnalyzer analyzer(options);
   const double live_cycles = DrainCyclesPerRecord(
-      records, [&analyzer](const TraceRecord& r) { analyzer.Ingest(r); });
+      records, "bench/live", [&analyzer](const TraceRecord& r) { analyzer.Ingest(r); });
   const double delta = live_cycles - base_cycles;
 
   std::printf("  drain only      %8.1f cycles/record (%zu records emitted)\n",
@@ -145,36 +116,17 @@ int main() {
               static_cast<unsigned long long>(analyzer.classifier().evictions()),
               static_cast<unsigned long long>(analyzer.windows_evicted()));
 
-  const bool sane = analyzer.records_ingested() == records.size() &&
-                    sink_count == records.size();
-  if (!sane) {
-    std::fprintf(stderr, "error: drain path lost records (%zu/%zu/%zu)\n",
-                 sink_count, analyzer.records_ingested(), records.size());
-  }
-  const bool gate_pass = sane && delta <= kGateCyclesPerRecord;
-  std::printf("overhead gate (<=%.0f cycles/record): %s\n", kGateCyclesPerRecord,
-              gate_pass ? "pass" : "fail");
-
-  std::FILE* json = std::fopen("BENCH_live.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_live_overhead\",\n");
-    std::fprintf(json, "  \"records\": %zu,\n", record_count);
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"drain_cycles_per_record\": %.1f,\n", base_cycles);
-    std::fprintf(json, "  \"live_cycles_per_record\": %.1f,\n", live_cycles);
-    std::fprintf(json, "  \"analyzer_cycles_per_record\": %.1f,\n", delta);
-    std::fprintf(json, "  \"paper_producer_cycles_per_record\": 236,\n");
-    std::fprintf(json, "  \"classifier_tracked\": %zu,\n",
-                 analyzer.classifier().tracked());
-    std::fprintf(json, "  \"classifier_evictions\": %llu,\n",
-                 static_cast<unsigned long long>(analyzer.classifier().evictions()));
-    std::fprintf(json, "  \"gate\": {\"threshold\": %.0f, \"added\": %.1f, "
-                       "\"status\": \"%s\"}\n",
-                 kGateCyclesPerRecord, delta, gate_pass ? "pass" : "fail");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_live.json\n");
-  }
-  return gate_pass ? 0 : 1;
+  const bool lossless =
+      analyzer.records_ingested() == records.size() && sink_count == records.size();
+  harness.AddGate("lossless", bench::Gate::Check(lossless));
+  harness.AddGate("overhead", bench::Gate::Compare(delta <= kGateCyclesPerRecord,
+                                                   kGateCyclesPerRecord, delta));
+  harness.Set("records", record_count);
+  harness.Set("drain_cycles_per_record", base_cycles);
+  harness.Set("live_cycles_per_record", live_cycles);
+  harness.Set("analyzer_cycles_per_record", delta);
+  harness.Set("paper_producer_cycles_per_record", 236);
+  harness.Set("classifier_tracked", analyzer.classifier().tracked());
+  harness.Set("classifier_evictions", analyzer.classifier().evictions());
+  return harness.Finish();
 }

@@ -12,26 +12,28 @@
 //      logging through its own RelayChannel while a drainer merges and
 //      streams to disk via TraceStreamWriter. Measures producer-side
 //      cycles/record against the paper's 236-cycle figure, gates the
-//      1 -> 8 producer degradation at <= 2x, and proves the merged
-//      streamed file is byte-identical to a single-threaded buffered
-//      serialization of the same records. Writes BENCH_logging.json.
+//      1 -> 8 producer degradation at <= 2x (scaling), and proves the
+//      merged streamed file is byte-identical to a single-threaded
+//      buffered serialization of the same records (identity) with no
+//      record lost (lossless). Writes BENCH_logging.json.
 //   3. A main() epilogue rerunning the timer-intensive workload with
 //      logging on, reporting simulated-CPU overhead and perturbation.
 //
-// TEMPO_SMOKE=1 runs only part 2 with small record counts and no
-// scalability gate (CI runners are oversubscribed); the identity proof
-// always gates.
+// A smoke run does only part 2, with small record counts and the scaling
+// gate skipped (CI runners are oversubscribed); identity and lossless
+// always gate. Quick runs are full runs.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/analysis/summary.h"
 #include "src/obs/probe.h"
 #include "src/trace/buffer.h"
@@ -238,7 +240,8 @@ ScaleResult MeasureProducers(int producers, uint64_t records_per_producer,
   return result;
 }
 
-int RunRelayScalability(bool smoke) {
+void RunRelayScalability(bench::Harness& harness) {
+  const bool smoke = harness.smoke();
   const uint64_t records_per_producer = smoke ? 20000 : 1000000;
   const unsigned hw = std::thread::hardware_concurrency();
 
@@ -272,57 +275,34 @@ int RunRelayScalability(bool smoke) {
   }
   // The <= 2x degradation gate only applies while producers have real
   // cores; oversubscribed runs measure the scheduler, not the channels.
-  bool scaling_ok = true;
   double worst_ratio = 1.0;
   for (const ScaleResult& r : results) {
-    if (static_cast<unsigned>(r.producers) > hw) {
-      continue;
-    }
-    const double ratio = r.cycles_per_record / results.front().cycles_per_record;
-    worst_ratio = ratio > worst_ratio ? ratio : worst_ratio;
-    if (!smoke && ratio > 2.0) {
-      scaling_ok = false;
+    if (static_cast<unsigned>(r.producers) <= hw) {
+      worst_ratio = std::max(worst_ratio,
+                             r.cycles_per_record / results.front().cycles_per_record);
     }
   }
-
-  std::printf("\nmerged streamed output byte-identical to buffered trace: %s\n",
-              identity_ok ? "PASS" : "FAIL");
-  std::printf("lossless below capacity (0 drops, all records merged): %s\n",
-              lossless_ok ? "PASS" : "FAIL");
-  std::printf("per-record cost degradation 1 -> %u producers <= 2x: %s (worst %.2fx)\n",
-              hw < 8 ? hw : 8,
-              smoke ? "SKIPPED (smoke)" : (scaling_ok ? "PASS" : "FAIL"),
+  std::printf("\nworst per-record cost 1 -> %u producers: %.2fx\n", hw < 8 ? hw : 8,
               worst_ratio);
 
-  FILE* out = std::fopen("BENCH_logging.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"experiment\": \"micro_logging_overhead\",\n");
-    std::fprintf(out, "  \"paper_cycles_per_record\": %u,\n",
-                 static_cast<unsigned>(kPaperLogCostCycles));
-    std::fprintf(out, "  \"records_per_producer\": %llu,\n",
-                 static_cast<unsigned long long>(records_per_producer));
-    std::fprintf(out, "  \"smoke\": %s,\n  \"producers\": [\n", smoke ? "true" : "false");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const ScaleResult& r = results[i];
-      std::fprintf(out,
-                   "    {\"producers\": %d, \"cycles_per_record\": %.1f, "
-                   "\"ratio_vs_1\": %.3f, \"dropped\": %llu, "
-                   "\"identical\": %s}%s\n",
-                   r.producers, r.cycles_per_record,
-                   r.cycles_per_record / results.front().cycles_per_record,
-                   static_cast<unsigned long long>(r.dropped),
-                   r.identical ? "true" : "false",
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"identity_ok\": %s,\n", identity_ok ? "true" : "false");
-    std::fprintf(out, "  \"lossless_ok\": %s,\n", lossless_ok ? "true" : "false");
-    std::fprintf(out, "  \"scaling_gate\": \"%s\",\n",
-                 smoke ? "skipped" : (scaling_ok ? "pass" : "fail"));
-    std::fprintf(out, "  \"worst_ratio_within_cores\": %.3f\n}\n", worst_ratio);
-    std::fclose(out);
-    std::printf("wrote BENCH_logging.json\n");
+  harness.AddGate("identity", bench::Gate::Check(identity_ok));
+  harness.AddGate("lossless", bench::Gate::Check(lossless_ok));
+  bench::Gate scaling = bench::Gate::Compare(worst_ratio <= 2.0, 2.0, worst_ratio);
+  if (smoke) {
+    scaling.Skip("smoke run");
   }
-  return (identity_ok && lossless_ok && scaling_ok) ? 0 : 1;
+  harness.AddGate("scaling", scaling);
+  harness.Set("paper_cycles_per_record", kPaperLogCostCycles);
+  harness.Set("records_per_producer", records_per_producer);
+  obs::JsonValue& rows = harness.Set("producers", obs::JsonValue::Array());
+  for (const ScaleResult& r : results) {
+    obs::JsonValue& row = rows.Push(obs::JsonValue::Object());
+    row.Set("producers", r.producers);
+    row.Set("cycles_per_record", r.cycles_per_record);
+    row.Set("ratio_vs_1", r.cycles_per_record / results.front().cycles_per_record);
+    row.Set("dropped", r.dropped);
+    row.Set("identical", r.identical);
+  }
 }
 
 // --- Part 3: Section 3.2 overhead on the timer-intensive workload --------
@@ -366,8 +346,8 @@ void RunWorkloadEpilogue() {
 }  // namespace tempo
 
 int main(int argc, char** argv) {
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
+  tempo::bench::Harness harness("micro_logging_overhead", "BENCH_logging.json");
+  const bool smoke = harness.smoke();
 
   if (!smoke) {
     benchmark::Initialize(&argc, argv);
@@ -375,7 +355,8 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
   }
 
-  const int rc = tempo::RunRelayScalability(smoke);
+  tempo::RunRelayScalability(harness);
+  const int rc = harness.Finish();
 
   if (!smoke) {
     tempo::RunWorkloadEpilogue();

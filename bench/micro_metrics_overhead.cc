@@ -6,8 +6,8 @@
 // increment, per histogram record, and per ScopedProbe in all three
 // states — enabled, runtime-disabled, and compiled out — over 1M-iteration
 // TSC-timed loops (plus google-benchmark timings for cross-checking).
-// Results land in BENCH_metrics.json; the acceptance bar is <10 cycles per
-// disabled probe.
+// Results land in BENCH_metrics.json; the disabled_probe gate is <10
+// cycles per disabled probe.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench/harness.h"
 #include "src/obs/metrics.h"
 #include "src/obs/probe.h"
 
@@ -146,28 +147,16 @@ int main(int argc, char** argv) {
   std::printf("  scoped probe disabled %8.2f\n", probe_disabled_cycles);
   std::printf("  scoped probe compiled out %4.2f\n", probe_compiled_out_cycles);
 
-  const bool disabled_ok = probe_disabled_cycles < 10.0;
-  std::printf("disabled path < 10 cycles: %s\n", disabled_ok ? "PASS" : "FAIL");
-
-  FILE* out = std::fopen("BENCH_metrics.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"experiment\": \"micro_metrics_overhead\",\n"
-                 "  \"paper_cycles_per_record\": 236,\n"
-                 "  \"iterations\": %llu,\n"
-                 "  \"cycles_per_counter_inc\": %.2f,\n"
-                 "  \"cycles_per_histogram_record\": %.2f,\n"
-                 "  \"cycles_per_probe_enabled\": %.2f,\n"
-                 "  \"cycles_per_probe_disabled\": %.2f,\n"
-                 "  \"cycles_per_probe_compiled_out\": %.2f,\n"
-                 "  \"disabled_under_10_cycles\": %s\n"
-                 "}\n",
-                 static_cast<unsigned long long>(kIterations), counter_cycles,
-                 record_cycles, probe_enabled_cycles, probe_disabled_cycles,
-                 probe_compiled_out_cycles, disabled_ok ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote BENCH_metrics.json\n");
-  }
-  return disabled_ok ? 0 : 1;
+  bench::Harness harness("micro_metrics_overhead", "BENCH_metrics.json");
+  harness.AddGate("disabled_probe",
+                  bench::Gate::Compare(probe_disabled_cycles < 10.0, 10.0,
+                                       probe_disabled_cycles));
+  harness.Set("paper_cycles_per_record", 236);
+  harness.Set("iterations", kIterations);
+  harness.Set("cycles_per_counter_inc", counter_cycles);
+  harness.Set("cycles_per_histogram_record", record_cycles);
+  harness.Set("cycles_per_probe_enabled", probe_enabled_cycles);
+  harness.Set("cycles_per_probe_disabled", probe_disabled_cycles);
+  harness.Set("cycles_per_probe_compiled_out", probe_compiled_out_cycles);
+  return harness.Finish();
 }

@@ -9,21 +9,21 @@
 //     the serial run's per-domain checksums, event counts and final
 //     clocks — the determinism contract of the clock-domain design;
 //   * scaling (>= 2x at 4 threads): enforced only on machines with at
-//     least 4 hardware threads, SKIPPED otherwise — never passed vacuously.
+//     least 4 hardware threads, skipped otherwise — never passed vacuously.
 //
-// TEMPO_QUICK=1 shrinks the chains; TEMPO_SMOKE=1 shrinks further for the
-// per-PR ctest smoke run. Results go to BENCH_sim_parallel.json.
+// Quick runs shrink the chains; smoke runs shrink them further for the
+// per-PR ctest. Results go to BENCH_sim_parallel.json.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/sim/clock_domain.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -154,17 +154,16 @@ RunOutcome RunOnce(size_t threads, int hops, int spin) {
 
 int main() {
   using namespace tempo;
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const bool quick = quick_env != nullptr && quick_env[0] == '1';
-  const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
+  bench::Harness harness("micro_sim_parallel", "BENCH_sim_parallel.json");
+  const bool smoke = harness.smoke();
+  const bool quick = harness.mode() == bench::Mode::kQuick;
   const int hops = smoke ? 100 : quick ? 1000 : 5000;
   const int spin = smoke ? 200 : 2000;
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("micro_sim_parallel: %zu domains, %zu chains/domain, %d hops, spin %d, %u cores%s\n",
               kCpus, kChainsPerDomain, hops, spin, cores,
-              smoke ? " (TEMPO_SMOKE)" : quick ? " (TEMPO_QUICK)" : "");
+              harness.full() ? "" : smoke ? " (smoke)" : " (quick)");
 
   std::vector<RunOutcome> runs;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -181,67 +180,36 @@ int main() {
   }
 
   bool identity_ok = true;
-  for (const RunOutcome& r : runs) {
-    identity_ok = identity_ok && r.identical;
-  }
   double gate_speedup = 0;
   for (const RunOutcome& r : runs) {
+    identity_ok = identity_ok && r.identical;
     if (r.threads == kGateThreads) {
       gate_speedup = r.speedup;
     }
   }
-  std::string gate_status;
-  bool gate_failed = false;
+  harness.AddGate("identity", bench::Gate::Check(identity_ok));
+  bench::Gate scaling = bench::Gate::Compare(gate_speedup >= kSpeedupThreshold,
+                                             kSpeedupThreshold, gate_speedup);
   if (cores < kGateThreads) {
-    gate_status = "skipped: only " + std::to_string(cores) + " hardware threads";
-  } else if (gate_speedup >= kSpeedupThreshold) {
-    gate_status = "pass";
-  } else {
-    gate_status = "fail";
-    gate_failed = true;
+    scaling.Skip("only " + std::to_string(cores) + " hardware threads");
   }
-  std::printf("identity gate: %s\n", identity_ok ? "pass" : "FAIL");
-  std::printf("scaling gate (>=%.1fx at %zu threads): %s\n", kSpeedupThreshold,
-              kGateThreads, gate_status.c_str());
+  harness.AddGate("scaling", scaling);
 
-  std::FILE* json = std::fopen("BENCH_sim_parallel.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_sim_parallel\",\n");
-    std::fprintf(json, "  \"domains\": %zu,\n", kCpus);
-    std::fprintf(json, "  \"chains_per_domain\": %zu,\n", kChainsPerDomain);
-    std::fprintf(json, "  \"hops\": %d,\n", hops);
-    std::fprintf(json, "  \"spin\": %d,\n", spin);
-    std::fprintf(json, "  \"lookahead_ns\": %lld,\n",
-                 static_cast<long long>(kLookahead));
-    std::fprintf(json, "  \"events\": %llu,\n",
-                 static_cast<unsigned long long>(runs.front().events));
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n", cores);
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(json, "  \"identity\": {\"status\": \"%s\"},\n",
-                 identity_ok ? "pass" : "fail");
-    std::fprintf(json, "  \"runs\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(json,
-                   "    {\"threads\": %zu, \"millis\": %.1f, \"events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"identical\": %s}%s\n",
-                   runs[i].threads, runs[i].millis, runs[i].events_per_sec,
-                   runs[i].speedup, runs[i].identical ? "true" : "false",
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"gate\": {\"threshold\": %.1f, \"at_threads\": %zu, "
-                       "\"speedup\": %.3f, \"status\": \"%s\"}\n",
-                 kSpeedupThreshold, kGateThreads, gate_speedup, gate_status.c_str());
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_sim_parallel.json\n");
+  harness.Set("domains", kCpus);
+  harness.Set("chains_per_domain", kChainsPerDomain);
+  harness.Set("hops", hops);
+  harness.Set("spin", spin);
+  harness.Set("lookahead_ns", kLookahead);
+  harness.Set("events", runs.front().events);
+  harness.Set("gate_threads", kGateThreads);
+  obs::JsonValue& rows = harness.Set("runs", obs::JsonValue::Array());
+  for (const RunOutcome& r : runs) {
+    obs::JsonValue& row = rows.Push(obs::JsonValue::Object());
+    row.Set("threads", r.threads);
+    row.Set("millis", r.millis);
+    row.Set("events_per_sec", r.events_per_sec);
+    row.Set("speedup", r.speedup);
+    row.Set("identical", r.identical);
   }
-
-  if (!identity_ok) {
-    std::fprintf(stderr, "error: threaded run state differs from serial\n");
-    return 1;
-  }
-  return gate_failed ? 1 : 0;
+  return harness.Finish();
 }

@@ -1,21 +1,23 @@
 // micro_trace_pipeline — parallel streaming analysis throughput.
 //
-// Generates a large synthetic trace (10M records by default; TEMPO_QUICK=1
-// drops to 1M), writes it as a chunked v2 file, then runs the full
-// tracestat pass set over the file with 1, 2 and 4 workers. For every
+// Generates a large synthetic trace (10M records by default; quick and
+// smoke runs drop to 1M), writes it as a chunked v2 file, then runs the
+// full tracestat pass set over the file with 1, 2 and 4 workers. For every
 // worker count the rendered report must be byte-identical to the serial
-// one (the ordered-merge guarantee); on machines with 4+ cores the 4-way
-// run must be at least 3x faster than serial. Results go to
-// BENCH_trace_pipeline.json in the working directory.
+// one (the identity gate, the ordered-merge guarantee); on machines with
+// 4+ cores the 4-way run must be at least 3x faster than serial (the
+// speedup gate). Results go to BENCH_trace_pipeline.json in the working
+// directory.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
+#include "bench/synthetic_trace.h"
 #include "src/analysis/classify.h"
 #include "src/analysis/histogram.h"
 #include "src/analysis/origins.h"
@@ -31,86 +33,6 @@ namespace {
 
 constexpr double kSpeedupThreshold = 3.0;
 constexpr size_t kGateJobs = 4;
-
-std::vector<CallsiteId> MakeSites(CallsiteRegistry* callsites) {
-  const CallsiteId ip = callsites->Intern("net/ip");
-  const CallsiteId tcp = callsites->Intern("net/tcp", ip);
-  std::vector<CallsiteId> sites;
-  sites.push_back(callsites->Intern("app/select"));
-  sites.push_back(tcp);
-  sites.push_back(callsites->Intern("net/tcp_retransmit", tcp));
-  sites.push_back(callsites->Intern("kernel/watchdog"));
-  sites.push_back(callsites->Intern("app/poll"));
-  sites.push_back(callsites->Intern("kernel/writeback"));
-  return sites;
-}
-
-// Deterministic synthetic trace: overlapping episodes, re-arms, cancels,
-// expiries, a mix of user/kernel records and timeout magnitudes — the
-// same shapes the real workloads produce, at arbitrary scale.
-std::vector<TraceRecord> GenerateTrace(size_t count,
-                                       const std::vector<CallsiteId>& sites) {
-  uint64_t state = 2008 * 0x9e3779b97f4a7c15ULL + 0x2545F4914F6CDD1DULL;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  constexpr size_t kTimers = 4096;
-  std::vector<bool> open(kTimers + 1, false);
-  SimTime now = 0;
-  std::vector<TraceRecord> records;
-  records.reserve(count);
-  while (records.size() < count) {
-    now += static_cast<SimTime>(next() % 3) * kMillisecond;
-    TraceRecord r;
-    r.timestamp = now;
-    r.timer = 1 + next() % kTimers;
-    r.callsite = sites[next() % sites.size()];
-    r.pid = static_cast<Pid>(next() % 4);
-    if (r.pid != kKernelPid) {
-      r.flags |= kFlagUser;
-    }
-    if (!open[r.timer]) {
-      r.op = next() % 4 == 0 ? TimerOp::kBlock : TimerOp::kSet;
-      open[r.timer] = true;
-    } else {
-      switch (next() % 6) {
-        case 0:
-        case 1:
-          r.op = TimerOp::kCancel;
-          open[r.timer] = false;
-          break;
-        case 2:
-          r.op = TimerOp::kExpire;
-          open[r.timer] = false;
-          break;
-        case 3:
-          r.op = TimerOp::kUnblock;
-          if (next() % 2 == 0) {
-            r.flags |= kFlagWaitSatisfied;
-          }
-          open[r.timer] = false;
-          break;
-        default:
-          r.op = TimerOp::kSet;
-          break;
-      }
-    }
-    if (r.op == TimerOp::kSet || r.op == TimerOp::kBlock) {
-      r.timeout = next() % 16 == 0
-                      ? static_cast<SimDuration>(7 + next() % 90) * kSecond
-                      : static_cast<SimDuration>(1 + next() % 500) * kMillisecond;
-      r.expiry = r.timestamp + r.timeout;
-      if (!r.is_user() && next() % 2 == 0) {
-        r.flags |= kFlagJiffyWheel;
-      }
-    }
-    records.push_back(r);
-  }
-  return records;
-}
 
 // The tracestat pass set (with a blame window), so the bench measures the
 // tool's real workload.
@@ -148,13 +70,13 @@ struct RunResult {
 
 int main() {
   using namespace tempo;
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const bool quick = quick_env != nullptr && quick_env[0] == '1';
+  bench::Harness harness("micro_trace_pipeline", "BENCH_trace_pipeline.json");
+  const bool quick = !harness.full();
   const size_t record_count = quick ? 1'000'000 : 10'000'000;
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("micro_trace_pipeline: %zu records, %u cores%s\n", record_count, cores,
-              quick ? " (TEMPO_QUICK)" : "");
+              quick ? " (quick)" : "");
 
   CallsiteRegistry callsites;
   const auto sites = MakeSites(&callsites);
@@ -215,59 +137,32 @@ int main() {
   std::remove(path.c_str());
 
   bool outputs_ok = true;
-  for (const RunResult& r : runs) {
-    outputs_ok = outputs_ok && r.identical;
-  }
   double gate_speedup = 0;
   for (const RunResult& r : runs) {
+    outputs_ok = outputs_ok && r.identical;
     if (r.jobs == kGateJobs) {
       gate_speedup = r.speedup;
     }
   }
-  std::string gate_status;
-  bool gate_failed = false;
+  harness.AddGate("identity", bench::Gate::Check(outputs_ok));
+  bench::Gate speedup = bench::Gate::Compare(gate_speedup >= kSpeedupThreshold,
+                                             kSpeedupThreshold, gate_speedup);
   if (cores < kGateJobs) {
-    gate_status = "skipped: only " + std::to_string(cores) + " hardware threads";
-  } else if (gate_speedup >= kSpeedupThreshold) {
-    gate_status = "pass";
-  } else {
-    gate_status = "fail";
-    gate_failed = true;
+    speedup.Skip("only " + std::to_string(cores) + " hardware threads");
   }
-  std::printf("speedup gate (>=%.1fx at %zu jobs): %s\n", kSpeedupThreshold, kGateJobs,
-              gate_status.c_str());
+  harness.AddGate("speedup", speedup);
 
-  std::FILE* json = std::fopen("BENCH_trace_pipeline.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_trace_pipeline\",\n");
-    std::fprintf(json, "  \"records\": %zu,\n", record_count);
-    std::fprintf(json, "  \"payload_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(file_bytes));
-    std::fprintf(json, "  \"chunk_records\": %u,\n", kDefaultChunkRecords);
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n", cores);
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"outputs_identical\": %s,\n", outputs_ok ? "true" : "false");
-    std::fprintf(json, "  \"runs\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(json,
-                   "    {\"jobs\": %zu, \"millis\": %.1f, \"speedup\": %.3f, "
-                   "\"identical\": %s}%s\n",
-                   runs[i].jobs, runs[i].millis, runs[i].speedup,
-                   runs[i].identical ? "true" : "false", i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"gate\": {\"threshold\": %.1f, \"at_jobs\": %zu, "
-                       "\"speedup\": %.3f, \"status\": \"%s\"}\n",
-                 kSpeedupThreshold, kGateJobs, gate_speedup, gate_status.c_str());
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_trace_pipeline.json\n");
+  harness.Set("records", record_count);
+  harness.Set("payload_bytes", file_bytes);
+  harness.Set("chunk_records", kDefaultChunkRecords);
+  harness.Set("gate_jobs", kGateJobs);
+  obs::JsonValue& rows = harness.Set("runs", obs::JsonValue::Array());
+  for (const RunResult& r : runs) {
+    obs::JsonValue& row = rows.Push(obs::JsonValue::Object());
+    row.Set("jobs", r.jobs);
+    row.Set("millis", r.millis);
+    row.Set("speedup", r.speedup);
+    row.Set("identical", r.identical);
   }
-
-  if (!outputs_ok) {
-    std::fprintf(stderr, "error: parallel output differs from serial\n");
-    return 1;
-  }
-  return gate_failed ? 1 : 0;
+  return harness.Finish();
 }

@@ -1,8 +1,8 @@
 // micro_trace_query — columnar trace format (v3) storage and query gates.
 //
-// Generates the paper-shaped synthetic trace (same generator as
-// micro_trace_pipeline), writes it as both chunked v2 and columnar v3,
-// and proves the three v3 claims:
+// Generates the paper-shaped synthetic trace (bench/synthetic_trace.h,
+// shared with micro_trace_pipeline), writes it as both chunked v2 and
+// columnar v3, and proves the three v3 claims:
 //
 //   size:      the v3 file is at most 0.5x the v2 file;
 //   scan:      an analysis scan that declares the fields it reads (a
@@ -24,21 +24,23 @@
 // so the disk-versus-scan tradeoff stays visible. The encode cost of all
 // three files (SerializeTrace, ns per record) is reported too, ungated.
 //
-// 8M records by default (TEMPO_QUICK=1 drops to 1M, TEMPO_SMOKE=1 to
-// 200k). Under TEMPO_SMOKE the two wall-clock/fraction gates report
-// "skipped: smoke run" — identity checks are always enforced. Results go
-// to BENCH_trace_query.json in the working directory.
+// 8M records by default (quick runs drop to 1M, smoke runs to 200k). In
+// a smoke run the scan and selective gates report "skipped: smoke run";
+// the size gate and the three identity gates (scan_identity,
+// decode_identity, selective_identity) always apply. Results go to
+// BENCH_trace_query.json in the working directory.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
+#include "bench/synthetic_trace.h"
 #include "src/analysis/pipeline.h"
 #include "src/analysis/query.h"
 #include "src/trace/chunked.h"
@@ -57,86 +59,6 @@ constexpr double kSelectiveFractionThreshold = 0.10;
 // enough chunks for a selective window to prove skipping.
 constexpr uint32_t kChunkRecords = 4096;
 constexpr int kScanReps = 3;
-
-std::vector<CallsiteId> MakeSites(CallsiteRegistry* callsites) {
-  const CallsiteId ip = callsites->Intern("net/ip");
-  const CallsiteId tcp = callsites->Intern("net/tcp", ip);
-  std::vector<CallsiteId> sites;
-  sites.push_back(callsites->Intern("app/select"));
-  sites.push_back(tcp);
-  sites.push_back(callsites->Intern("net/tcp_retransmit", tcp));
-  sites.push_back(callsites->Intern("kernel/watchdog"));
-  sites.push_back(callsites->Intern("app/poll"));
-  sites.push_back(callsites->Intern("kernel/writeback"));
-  return sites;
-}
-
-// The micro_trace_pipeline generator: overlapping episodes, re-arms,
-// cancels, expiries, user/kernel mix — the shapes the real workloads
-// produce, at arbitrary scale.
-std::vector<TraceRecord> GenerateTrace(size_t count,
-                                       const std::vector<CallsiteId>& sites) {
-  uint64_t state = 2008 * 0x9e3779b97f4a7c15ULL + 0x2545F4914F6CDD1DULL;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  constexpr size_t kTimers = 4096;
-  std::vector<bool> open(kTimers + 1, false);
-  SimTime now = 0;
-  std::vector<TraceRecord> records;
-  records.reserve(count);
-  while (records.size() < count) {
-    now += static_cast<SimTime>(next() % 3) * kMillisecond;
-    TraceRecord r;
-    r.timestamp = now;
-    r.timer = 1 + next() % kTimers;
-    r.callsite = sites[next() % sites.size()];
-    r.pid = static_cast<Pid>(next() % 4);
-    if (r.pid != kKernelPid) {
-      r.flags |= kFlagUser;
-    }
-    if (!open[r.timer]) {
-      r.op = next() % 4 == 0 ? TimerOp::kBlock : TimerOp::kSet;
-      open[r.timer] = true;
-    } else {
-      switch (next() % 6) {
-        case 0:
-        case 1:
-          r.op = TimerOp::kCancel;
-          open[r.timer] = false;
-          break;
-        case 2:
-          r.op = TimerOp::kExpire;
-          open[r.timer] = false;
-          break;
-        case 3:
-          r.op = TimerOp::kUnblock;
-          if (next() % 2 == 0) {
-            r.flags |= kFlagWaitSatisfied;
-          }
-          open[r.timer] = false;
-          break;
-        default:
-          r.op = TimerOp::kSet;
-          break;
-      }
-    }
-    if (r.op == TimerOp::kSet || r.op == TimerOp::kBlock) {
-      r.timeout = next() % 16 == 0
-                      ? static_cast<SimDuration>(7 + next() % 90) * kSecond
-                      : static_cast<SimDuration>(1 + next() % 500) * kMillisecond;
-      r.expiry = r.timestamp + r.timeout;
-      if (!r.is_user() && next() % 2 == 0) {
-        r.flags |= kFlagJiffyWheel;
-      }
-    }
-    records.push_back(r);
-  }
-  return records;
-}
 
 // Serialises `records` with `options` and writes them to `path`. Returns
 // the serialisation time (the encoder alone, not the file write) in ns per
@@ -399,16 +321,15 @@ QueryRun RunQuery(const TraceChunkReader& reader, SimTime begin, SimTime end,
 
 int main() {
   using namespace tempo;
-  const char* smoke_env = std::getenv("TEMPO_SMOKE");
-  const char* quick_env = std::getenv("TEMPO_QUICK");
-  const bool smoke = smoke_env != nullptr && smoke_env[0] == '1';
-  const bool quick = !smoke && quick_env != nullptr && quick_env[0] == '1';
+  bench::Harness harness("micro_trace_query", "BENCH_trace_query.json");
+  const bool smoke = harness.smoke();
+  const bool quick = harness.mode() == bench::Mode::kQuick;
   const size_t record_count = smoke ? 200'000 : quick ? 1'000'000 : 8'000'000;
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("micro_trace_query: %zu records, chunk_records %u, %u cores%s\n",
               record_count, kChunkRecords, cores,
-              smoke ? " (TEMPO_SMOKE)" : quick ? " (TEMPO_QUICK)" : "");
+              smoke ? " (smoke)" : quick ? " (quick)" : "");
 
   CallsiteRegistry callsites;
   const auto sites = MakeSites(&callsites);
@@ -533,96 +454,53 @@ int main() {
   // --- gates -----------------------------------------------------------
   // Identity is enforced unconditionally; the wall-clock and fraction
   // gates are only meaningful at full scale, so smoke runs mark them
-  // skipped rather than vacuously passed.
-  const bool identities_ok = scan_identical && decode_identical && query_identical;
-  std::string scan_status;
-  std::string size_status;
-  std::string selective_status;
-  bool gate_failed = false;
+  // skipped rather than vacuously passed. The size ratio is
+  // scale-independent enough to gate even in smoke.
+  harness.AddGate("scan_identity", bench::Gate::Check(scan_identical));
+  harness.AddGate("decode_identity", bench::Gate::Check(decode_identical));
+  harness.AddGate("selective_identity", bench::Gate::Check(query_identical));
+  bench::Gate scan = bench::Gate::Compare(scan_speedup >= kScanSpeedupThreshold,
+                                          kScanSpeedupThreshold, scan_speedup);
+  const double selective_fraction = std::max(chunk_fraction, byte_fraction);
+  bench::Gate selective = bench::Gate::Compare(
+      chunk_fraction < kSelectiveFractionThreshold &&
+          byte_fraction < kSelectiveFractionThreshold,
+      kSelectiveFractionThreshold, selective_fraction);
   if (smoke) {
-    scan_status = "skipped: smoke run";
-    selective_status = "skipped: smoke run";
-  } else {
-    scan_status = scan_speedup >= kScanSpeedupThreshold ? "pass" : "fail";
-    selective_status = chunk_fraction < kSelectiveFractionThreshold &&
-                               byte_fraction < kSelectiveFractionThreshold
-                           ? "pass"
-                           : "fail";
+    scan.Skip("smoke run");
+    selective.Skip("smoke run");
   }
-  // The size ratio is scale-independent enough to gate even in smoke.
-  size_status = size_ratio <= kSizeRatioThreshold ? "pass" : "fail";
-  gate_failed = scan_status == "fail" || size_status == "fail" ||
-                selective_status == "fail";
-  std::printf("scan gate (>=%.1fx): %s\n", kScanSpeedupThreshold, scan_status.c_str());
-  std::printf("size gate (<=%.2fx): %s\n", kSizeRatioThreshold, size_status.c_str());
-  std::printf("selective gate (<%.0f%% chunks and bytes): %s\n",
-              kSelectiveFractionThreshold * 100, selective_status.c_str());
+  harness.AddGate("scan", scan);
+  harness.AddGate("size", bench::Gate::Compare(size_ratio <= kSizeRatioThreshold,
+                                               kSizeRatioThreshold, size_ratio));
+  harness.AddGate("selective", selective);
 
-  std::FILE* json = std::fopen("BENCH_trace_query.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"micro_trace_query\",\n");
-    std::fprintf(json, "  \"records\": %zu,\n", record_count);
-    std::fprintf(json, "  \"chunk_records\": %u,\n", kChunkRecords);
-    std::fprintf(json, "  \"hardware_concurrency\": %u,\n", cores);
-    std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(json, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(json, "  \"v2_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(v2_bytes));
-    std::fprintf(json, "  \"v3_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(v3_bytes));
-    std::fprintf(json, "  \"v3_bytes_per_record\": %.3f,\n",
-                 static_cast<double>(v3_bytes) / record_count);
-    std::fprintf(json, "  \"v2_encode_ns_per_record\": %.1f,\n", v2_encode_ns);
-    std::fprintf(json, "  \"v3_encode_ns_per_record\": %.1f,\n", v3_encode_ns);
-    std::fprintf(json, "  \"v3_lz_encode_ns_per_record\": %.1f,\n", lz_encode_ns);
-    std::fprintf(json,
-                 "  \"v3_lz\": {\"bytes\": %llu, \"bytes_per_record\": %.3f, "
-                 "\"full_decode_millis\": %.1f},\n",
-                 static_cast<unsigned long long>(lz_bytes),
-                 static_cast<double>(lz_bytes) / record_count, lz_scan.millis);
-    std::fprintf(json,
-                 "  \"scan\": {\"fields\": \"timestamp|op\", \"v2_millis\": %.1f, "
-                 "\"v3_millis\": %.1f, \"speedup\": %.3f, \"identical\": %s},\n",
-                 v2_pipe.millis, v3_pipe.millis, scan_speedup,
-                 scan_identical ? "true" : "false");
-    std::fprintf(json,
-                 "  \"full_decode\": {\"v2_millis\": %.1f, \"v3_millis\": %.1f, "
-                 "\"speedup\": %.3f, \"identical\": %s},\n",
-                 v2_scan.millis, v3_scan.millis, decode_speedup,
-                 decode_identical ? "true" : "false");
-    std::fprintf(json,
-                 "  \"selective\": {\"chunks_decoded\": %llu, \"chunks_skipped\": %llu, "
-                 "\"chunk_fraction\": %.4f, \"bytes_decoded\": %llu, "
-                 "\"byte_fraction\": %.4f, \"identical\": %s},\n",
-                 static_cast<unsigned long long>(v3_query.stats.chunks),
-                 static_cast<unsigned long long>(v3_query.stats.chunks_skipped),
-                 chunk_fraction,
-                 static_cast<unsigned long long>(v3_query.stats.encoded_bytes),
-                 byte_fraction, query_identical ? "true" : "false");
-    std::fprintf(json, "  \"gates\": {\n");
-    std::fprintf(json,
-                 "    \"scan\": {\"threshold\": %.1f, \"speedup\": %.3f, "
-                 "\"status\": \"%s\"},\n",
-                 kScanSpeedupThreshold, scan_speedup, scan_status.c_str());
-    std::fprintf(json,
-                 "    \"size\": {\"threshold\": %.2f, \"ratio\": %.4f, "
-                 "\"status\": \"%s\"},\n",
-                 kSizeRatioThreshold, size_ratio, size_status.c_str());
-    std::fprintf(json,
-                 "    \"selective\": {\"threshold\": %.2f, \"chunk_fraction\": %.4f, "
-                 "\"byte_fraction\": %.4f, \"status\": \"%s\"}\n",
-                 kSelectiveFractionThreshold, chunk_fraction, byte_fraction,
-                 selective_status.c_str());
-    std::fprintf(json, "  }\n");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_trace_query.json\n");
-  }
-
-  if (!identities_ok) {
-    std::fprintf(stderr, "error: v2/v3 or serial/parallel outputs differ\n");
-    return 1;
-  }
-  return gate_failed ? 1 : 0;
+  harness.Set("records", record_count);
+  harness.Set("chunk_records", kChunkRecords);
+  harness.Set("v2_bytes", v2_bytes);
+  harness.Set("v3_bytes", v3_bytes);
+  harness.Set("v3_bytes_per_record", static_cast<double>(v3_bytes) / record_count);
+  harness.Set("v2_encode_ns_per_record", v2_encode_ns);
+  harness.Set("v3_encode_ns_per_record", v3_encode_ns);
+  harness.Set("v3_lz_encode_ns_per_record", lz_encode_ns);
+  obs::JsonValue& lz = harness.Set("v3_lz", obs::JsonValue::Object());
+  lz.Set("bytes", lz_bytes);
+  lz.Set("bytes_per_record", static_cast<double>(lz_bytes) / record_count);
+  lz.Set("full_decode_millis", lz_scan.millis);
+  obs::JsonValue& scan_json = harness.Set("scan", obs::JsonValue::Object());
+  scan_json.Set("fields", "timestamp|op");
+  scan_json.Set("v2_millis", v2_pipe.millis);
+  scan_json.Set("v3_millis", v3_pipe.millis);
+  scan_json.Set("speedup", scan_speedup);
+  obs::JsonValue& decode_json = harness.Set("full_decode", obs::JsonValue::Object());
+  decode_json.Set("v2_millis", v2_scan.millis);
+  decode_json.Set("v3_millis", v3_scan.millis);
+  decode_json.Set("speedup", decode_speedup);
+  obs::JsonValue& selective_json = harness.Set("selective", obs::JsonValue::Object());
+  selective_json.Set("chunks_decoded", v3_query.stats.chunks);
+  selective_json.Set("chunks_skipped", v3_query.stats.chunks_skipped);
+  selective_json.Set("chunk_fraction", chunk_fraction);
+  selective_json.Set("bytes_decoded", v3_query.stats.encoded_bytes);
+  selective_json.Set("byte_fraction", byte_fraction);
+  return harness.Finish();
 }

@@ -81,43 +81,6 @@ std::string Compact(double v) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          Append(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderText(const MetricsSnapshot& snapshot) {
   // First pass: column width for the labeled names.
   size_t width = 0;

@@ -11,16 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 
 namespace tempo {
 namespace obs {
-
-// Escapes `s` for use inside a JSON string literal: `"` and `\` get a
-// backslash, and every control character below 0x20 gets its short escape
-// (\n, \t, ...) or the \u00XX form. The one escaper every JSON writer in
-// tempo uses.
-std::string JsonEscape(const std::string& s);
 
 // Aligned, human-readable table. Histograms render count/mean/p50/p90/p99.
 std::string RenderText(const MetricsSnapshot& snapshot);

@@ -9,7 +9,7 @@
 #include "src/adaptive/distribution.h"
 #include "src/adaptive/interfaces.h"
 #include "src/adaptive/slack.h"
-#include "src/adaptive/timer_service.h"
+#include "src/adaptive/timer_surface.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/trace/buffer.h"
@@ -148,7 +148,7 @@ TEST(AdaptiveTimeoutTest, RespectsMinMaxClamps) {
   EXPECT_EQ(timeout.Current(), kSecond);
 }
 
-// --- TimerService ---
+// --- TimerSurface ---
 
 TEST(SimTimerServiceTest, ArmFiresAndCancelWorks) {
   Simulator sim;

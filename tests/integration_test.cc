@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/adaptive/adaptive_timeout.h"
-#include "src/adaptive/timer_service.h"
+#include "src/adaptive/timer_surface.h"
 #include "src/analysis/classify.h"
 #include "src/analysis/provenance.h"
 #include "src/analysis/scatter.h"

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -15,6 +14,7 @@
 
 #include "src/analysis/pipeline.h"
 #include "src/analysis/query.h"
+#include "src/obs/json.h"
 #include "src/trace/chunked.h"
 #include "src/trace/file.h"
 #include "src/trace/predicate.h"
@@ -985,117 +985,18 @@ TEST(QueryTest, NullPredicatePinsEveryChunk) {
   std::remove(path.c_str());
 }
 
-// A strict JSON reader, enough to check RenderJson output: Valid() is true
-// iff the text is one well-formed JSON value, and collects every string
-// value (object keys excluded) with its escapes undone.
-class JsonCheck {
- public:
-  explicit JsonCheck(std::string text) : s_(std::move(text)) {}
-
-  bool Valid(std::vector<std::string>* strings) {
-    strings_ = strings;
-    if (!Value()) {
-      return false;
-    }
-    Skip();
-    return i_ == s_.size();
+// Every string value under `v` (object keys excluded), in document order.
+void CollectStrings(const obs::JsonValue& v, std::vector<std::string>* out) {
+  if (v.kind == obs::JsonValue::Kind::kString) {
+    out->push_back(v.text);
   }
-
- private:
-  void Skip() {
-    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])) != 0) {
-      ++i_;
-    }
+  for (const obs::JsonValue& item : v.items) {
+    CollectStrings(item, out);
   }
-  bool Eat(char c) {
-    Skip();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
+  for (const auto& [key, member] : v.members) {
+    CollectStrings(member, out);
   }
-  bool Value() {
-    Skip();
-    if (i_ >= s_.size()) {
-      return false;
-    }
-    if (s_[i_] == '{' || s_[i_] == '[') {
-      return Members(s_[i_] == '{');
-    }
-    if (s_[i_] == '"') {
-      std::string value;
-      if (!String(&value)) {
-        return false;
-      }
-      strings_->push_back(value);
-      return true;
-    }
-    const size_t start = i_;
-    while (i_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[i_])) != 0 ||
-                              s_[i_] == '-')) {
-      ++i_;
-    }
-    return i_ > start;
-  }
-  bool Members(bool object) {
-    const char close = object ? '}' : ']';
-    ++i_;
-    if (Eat(close)) {
-      return true;
-    }
-    do {
-      if (object) {
-        Skip();
-        std::string key;
-        if (!String(&key) || !Eat(':')) {
-          return false;
-        }
-      }
-      if (!Value()) {
-        return false;
-      }
-    } while (Eat(','));
-    return Eat(close);
-  }
-  bool String(std::string* out) {
-    if (i_ >= s_.size() || s_[i_] != '"') {
-      return false;
-    }
-    for (++i_; i_ < s_.size(); ++i_) {
-      const char c = s_[i_];
-      if (c == '"') {
-        ++i_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // JSON forbids raw control characters in strings
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (++i_ >= s_.size()) {
-        return false;
-      }
-      const std::string simple = "\"\\/\b\f\n\r\t";
-      const size_t at = std::string("\"\\/bfnrt").find(s_[i_]);
-      if (at != std::string::npos) {
-        out->push_back(simple[at]);
-      } else if (s_[i_] == 'u' && i_ + 4 < s_.size()) {
-        out->push_back(static_cast<char>(std::stoi(s_.substr(i_ + 1, 4), nullptr, 16)));
-        i_ += 4;
-      } else {
-        return false;
-      }
-    }
-    return false;
-  }
-
-  std::string s_;
-  size_t i_ = 0;
-  std::vector<std::string>* strings_ = nullptr;
-};
+}
 
 TEST(QueryTest, JsonRowsHoldLongControlByteCallsiteNamesWhole) {
   // Call-site names come from trace files: a 300-byte name holding a
@@ -1118,8 +1019,11 @@ TEST(QueryTest, JsonRowsHoldLongControlByteCallsiteNamesWhole) {
   QueryPass pass(query, &callsites);
   pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
   const std::string json = pass.RenderJson();
+  obs::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(json, &root, &error)) << error << "\n" << json;
   std::vector<std::string> strings;
-  ASSERT_TRUE(JsonCheck(json).Valid(&strings)) << json;
+  CollectStrings(root, &strings);
   ASSERT_EQ(strings.size(), 1u);
   EXPECT_EQ(strings[0], name);
   EXPECT_NE(json.find("\"records\": 3"), std::string::npos) << json;

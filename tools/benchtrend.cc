@@ -1,8 +1,9 @@
 // benchtrend — aggregates the committed BENCH_*.json result files into one
 // table, so a reviewer (or CI) can read every benchmark's headline numbers
 // in one place and spot a regression across commits without re-running the
-// benches. Scalar fields are flattened with dotted paths ("gate.status",
-// "runs[2].speedup"); fields carrying a paper reference value (their name
+// benches. Scalar fields are flattened with dotted paths ("host.nproc",
+// "runs[2].speedup"); every "gates.<name>.status" is a gate, and skipped
+// gates are warned about. Fields carrying a paper reference value (their name
 // contains "paper") are marked, since those are the numbers the repo is
 // trying to reproduce.
 //
@@ -12,15 +13,14 @@
 // errors.
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/obs/snapshot.h"
+#include "src/obs/json.h"
 #include "tools/common.h"
 
 namespace tempo {
@@ -32,190 +32,51 @@ struct FlatValue {
   bool is_string = false;
 };
 
-// Minimal recursive-descent JSON reader: enough for the bench files (no
-// \u escapes, no scientific-notation corner cases beyond strtod).
-class JsonReader {
- public:
-  JsonReader(const std::string& text, std::vector<FlatValue>* out)
-      : text_(text), out_(out) {}
-
-  bool Parse() {
-    SkipSpace();
-    if (!ParseValue("")) {
-      return false;
-    }
-    SkipSpace();
-    return pos_ == text_.size();
+// Flattens `v` into scalar leaves with dotted paths, in document order.
+// Empty containers contribute nothing.
+void Flatten(const obs::JsonValue& v, const std::string& path, std::vector<FlatValue>* out) {
+  switch (v.kind) {
+    case obs::JsonValue::Kind::kObject:
+      for (const auto& [key, member] : v.members) {
+        Flatten(member, path.empty() ? key : path + "." + key, out);
+      }
+      return;
+    case obs::JsonValue::Kind::kArray:
+      for (size_t i = 0; i < v.items.size(); ++i) {
+        Flatten(v.items[i], path + "[" + std::to_string(i) + "]", out);
+      }
+      return;
+    case obs::JsonValue::Kind::kString:
+      out->push_back({path, v.text, true});
+      return;
+    case obs::JsonValue::Kind::kNumber:
+      out->push_back({path, v.text, false});
+      return;
+    case obs::JsonValue::Kind::kBool:
+      out->push_back({path, v.boolean ? "true" : "false", false});
+      return;
+    case obs::JsonValue::Kind::kNull:
+      out->push_back({path, "null", false});
+      return;
   }
-
-  std::string error() const { return error_; }
-
- private:
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool ParseValue(const std::string& path) {
-    if (pos_ >= text_.size()) {
-      return Fail("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject(path);
-    }
-    if (c == '[') {
-      return ParseArray(path);
-    }
-    if (c == '"') {
-      std::string s;
-      if (!ParseString(&s)) {
-        return false;
-      }
-      out_->push_back({path, s, true});
-      return true;
-    }
-    return ParseLiteral(path);
-  }
-
-  bool ParseObject(const std::string& path) {
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !ParseString(&key)) {
-        return Fail("expected object key");
-      }
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Fail("expected ':'");
-      }
-      ++pos_;
-      SkipSpace();
-      if (!ParseValue(path.empty() ? key : path + "." + key)) {
-        return false;
-      }
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool ParseArray(const std::string& path) {
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    size_t index = 0;
-    while (true) {
-      SkipSpace();
-      if (!ParseValue(path + "[" + std::to_string(index++) + "]")) {
-        return false;
-      }
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          default:
-            *out += e;  // \" \\ \/ and friends
-        }
-        continue;
-      }
-      *out += c;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseLiteral(const std::string& path) {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token.empty()) {
-      return Fail("unexpected character");
-    }
-    if (token == "true" || token == "false" || token == "null") {
-      out_->push_back({path, token, false});
-      return true;
-    }
-    char* end = nullptr;
-    (void)std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return Fail("bad literal '" + token + "'");
-    }
-    out_->push_back({path, token, false});
-    return true;
-  }
-
-  const std::string& text_;
-  std::vector<FlatValue>* out_;
-  size_t pos_ = 0;
-  std::string error_;
-};
+}
 
 bool IsPaperRef(const std::string& path) {
   return path.find("paper") != std::string::npos;
 }
 
-// A gate status field: ".../gate.status" (or any gate object's "status").
+// A gate status field: "gates.<name>.status", where every bench result
+// file (bench/harness.h) keeps every gate.
 bool IsGateStatus(const std::string& path) {
-  return path.find("gate") != std::string::npos &&
-         (path == "status" ||
-          (path.size() >= 7 && path.compare(path.size() - 7, 7, ".status") == 0));
+  constexpr std::string_view kPrefix = "gates.";
+  constexpr std::string_view kSuffix = ".status";
+  if (path.size() <= kPrefix.size() + kSuffix.size() || !path.starts_with(kPrefix) ||
+      !path.ends_with(kSuffix)) {
+    return false;
+  }
+  const std::string_view name(path.data() + kPrefix.size(),
+                              path.size() - kPrefix.size() - kSuffix.size());
+  return name.find_first_of(".[") == std::string_view::npos;
 }
 
 // Gates report "pass", "fail", or "skipped[: reason]" — a gate whose
@@ -285,15 +146,16 @@ int main(int argc, char** argv) {
     std::ostringstream buf;
     buf << in.rdbuf();
     const std::string text = buf.str();
-    Bench bench;
-    bench.file = path;
-    JsonReader reader(text, &bench.values);
-    if (!reader.Parse()) {
-      std::fprintf(stderr, "error: %s is not valid JSON: %s\n", path.c_str(),
-                   reader.error().c_str());
+    obs::JsonValue root;
+    std::string error;
+    if (!obs::ParseJson(text, &root, &error)) {
+      std::fprintf(stderr, "error: %s is not valid JSON: %s\n", path.c_str(), error.c_str());
       rc = 1;
       continue;
     }
+    Bench bench;
+    bench.file = path;
+    Flatten(root, "", &bench.values);
     benches.push_back(std::move(bench));
   }
 

@@ -5,15 +5,14 @@
 // tracks: live-timer depth at every transition and windowed firing-slack
 // p99. Reads either trace format (v2/v3).
 //
-// --check re-reads the written file through a strict JSON parser and
-// verifies the trace-event schema (pid/tid/ts/ph on every event, dur on
-// every complete event), so a ctest can gate "the export actually opens".
+// --check re-reads the written file through the strict JSON reader
+// (src/obs/json.h) and verifies the trace-event schema (pid/tid/ts/ph on
+// every event, dur on every complete event), so a ctest can gate "the
+// export actually opens".
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,7 +20,7 @@
 
 #include "src/analysis/latency.h"
 #include "src/analysis/lifetimes.h"
-#include "src/obs/snapshot.h"
+#include "src/obs/json.h"
 #include "src/sim/time.h"
 #include "src/trace/file.h"
 #include "tools/common.h"
@@ -56,235 +55,13 @@ struct Event {
   std::string body;  // complete JSON object
 };
 
-// ---------------------------------------------------------------------------
-// Minimal strict JSON DOM, just enough to validate what this tool writes
-// (and reject what it should not have written).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(const char* data, size_t size) : p_(data), end_(data + size) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWs();
-    return p_ == end_;  // trailing garbage is a malformed file
-  }
-
- private:
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-  bool Literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (static_cast<size_t>(end_ - p_) < n || std::strncmp(p_, lit, n) != 0) {
-      return false;
-    }
-    p_ += n;
-    return true;
-  }
-  bool ParseValue(JsonValue* out) {
-    if (p_ == end_) {
-      return false;
-    }
-    switch (*p_) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string);
-      case 't':
-        out->kind = JsonValue::Kind::kBool;
-        return Literal("true");
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        return Literal("false");
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-  bool ParseString(std::string* out) {
-    if (p_ == end_ || *p_ != '"') {
-      return false;
-    }
-    ++p_;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) {
-          return false;
-        }
-        switch (*p_) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 'b':
-          case 'f':
-            *out += ' ';
-            break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              ++p_;
-              if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_))) {
-                return false;
-              }
-            }
-            *out += '?';  // validation only; the code point itself is moot
-            break;
-          }
-          default:
-            return false;
-        }
-        ++p_;
-      } else {
-        *out += *p_++;
-      }
-    }
-    if (p_ == end_) {
-      return false;
-    }
-    ++p_;  // closing quote
-    return true;
-  }
-  bool ParseNumber(JsonValue* out) {
-    const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) {
-      ++p_;
-    }
-    bool digits = false;
-    while (p_ != end_ && (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '.' ||
-                          *p_ == 'e' || *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
-      digits = digits || std::isdigit(static_cast<unsigned char>(*p_));
-      ++p_;
-    }
-    if (!digits) {
-      return false;
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(std::string(start, p_).c_str(), nullptr);
-    return true;
-  }
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++p_;  // '['
-    SkipWs();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      if (!ParseValue(&v)) {
-        return false;
-      }
-      out->array.push_back(std::move(v));
-      SkipWs();
-      if (p_ == end_) {
-        return false;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') {
-        return false;
-      }
-      ++p_;
-      SkipWs();
-    }
-  }
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') {
-        return false;
-      }
-      ++p_;
-      SkipWs();
-      JsonValue v;
-      if (!ParseValue(&v)) {
-        return false;
-      }
-      out->object.emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (p_ == end_) {
-        return false;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      if (*p_ != ',') {
-        return false;
-      }
-      ++p_;
-      SkipWs();
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
 // Validates the written file against the trace-event schema: a top-level
 // object with a non-empty traceEvents array whose every element carries
 // numeric pid/tid/ts and a string ph, and whose complete ("X") events
 // carry a numeric dur. Returns an empty string on success, else the first
 // violation.
 std::string ValidateTraceEventFile(const std::string& path) {
+  using obs::JsonValue;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return "cannot open " + path;
@@ -298,9 +75,9 @@ std::string ValidateTraceEventFile(const std::string& path) {
   std::fclose(f);
 
   JsonValue root;
-  JsonParser parser(bytes.data(), bytes.size());
-  if (!parser.Parse(&root)) {
-    return "malformed JSON";
+  std::string error;
+  if (!obs::ParseJson(bytes, &root, &error)) {
+    return "malformed JSON: " + error;
   }
   if (root.kind != JsonValue::Kind::kObject) {
     return "top level is not an object";
@@ -309,11 +86,11 @@ std::string ValidateTraceEventFile(const std::string& path) {
   if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
     return "missing traceEvents array";
   }
-  if (events->array.empty()) {
+  if (events->items.empty()) {
     return "traceEvents is empty";
   }
-  for (size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = events->array[i];
+  for (size_t i = 0; i < events->items.size(); ++i) {
+    const JsonValue& e = events->items[i];
     char where[64];
     std::snprintf(where, sizeof(where), "traceEvents[%zu]", i);
     if (e.kind != JsonValue::Kind::kObject) {
@@ -326,10 +103,10 @@ std::string ValidateTraceEventFile(const std::string& path) {
       }
     }
     const JsonValue* ph = e.Find("ph");
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString || ph->string.size() != 1) {
+    if (ph == nullptr || ph->kind != JsonValue::Kind::kString || ph->text.size() != 1) {
       return std::string(where) + " lacks one-char ph";
     }
-    if (ph->string == "X") {
+    if (ph->text == "X") {
       const JsonValue* dur = e.Find("dur");
       if (dur == nullptr || dur->kind != JsonValue::Kind::kNumber) {
         return std::string(where) + " is complete (X) but lacks numeric dur";
