@@ -192,10 +192,9 @@ void ClassifyPass::Merge(AnalysisPass&& other) {
   episodes_.Merge(std::move(dynamic_cast<ClassifyPass&>(other).episodes_));
 }
 
-std::vector<TimerClass> ClassifyPass::Result() const {
+std::vector<TimerClass> ClassifyPass::Result() && {
   std::vector<TimerClass> out;
-  EpisodeBuilder copy = episodes_;  // Finish consumes; keep the pass reusable
-  for (const auto& group : GroupEpisodes(std::move(copy).Finish())) {
+  for (const auto& group : GroupEpisodes(std::move(episodes_).Finish())) {
     out.push_back(ClassifyGroup(group, options_));
   }
   return out;
@@ -206,17 +205,16 @@ std::unique_ptr<AnalysisPass> ClassifyPass::Fork() const {
 }
 
 void ClassifyPass::Render(RenderSink& sink) {
+  const auto histogram = PatternHistogram(std::move(*this).Result());
   sink.Section("patterns",
-               "usage patterns:\n" +
-                   RenderPatternHistogram({{column_, PatternHistogram(Result())}}) +
-                   "\n");
+               "usage patterns:\n" + RenderPatternHistogram({{column_, histogram}}) + "\n");
 }
 
 std::vector<TimerClass> ClassifyTrace(const std::vector<TraceRecord>& records,
                                       const ClassifyOptions& options) {
   ClassifyPass pass(options);
   pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
+  return std::move(pass).Result();
 }
 
 std::map<UsagePattern, double> PatternHistogram(const std::vector<TimerClass>& classes) {

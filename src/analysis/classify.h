@@ -79,7 +79,7 @@ TimerClass ClassifyGroup(const std::vector<Episode>& group, const ClassifyOption
 // Streaming usage-pattern classification (Figure 2) as an AnalysisPass.
 // Classification itself needs every episode of a timer, so the pass
 // streams records into a mergeable EpisodeBuilder and classifies once,
-// at Result/Render time.
+// at Result/Render time, from the consumed builder.
 class ClassifyPass : public AnalysisPass {
  public:
   explicit ClassifyPass(ClassifyOptions options = ClassifyOptions(),
@@ -92,8 +92,10 @@ class ClassifyPass : public AnalysisPass {
   void Merge(AnalysisPass&& other) override;
   void Render(RenderSink& sink) override;
 
-  // Per-timer classifications; call after all merges.
-  std::vector<TimerClass> Result() const;
+  // Per-timer classifications; call once, after all merges. Classifying
+  // consumes the pass's episodes rather than copying them, so the pass is
+  // spent afterwards (Render calls this too: render a pass once).
+  std::vector<TimerClass> Result() &&;
 
  private:
   ClassifyOptions options_;

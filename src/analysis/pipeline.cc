@@ -1,11 +1,13 @@
 #include "src/analysis/pipeline.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/probe.h"
+#include "src/sim/worker_pool.h"
 #include "src/trace/codec.h"
 
 namespace tempo {
@@ -64,23 +66,6 @@ uint16_t UnionFields(const std::vector<std::unique_ptr<AnalysisPass>>& passes) {
     mask |= pass->fields();
   }
   return passes.empty() ? kAllTraceFields : mask;
-}
-
-// Contiguous [begin, end) chunk ranges, one per worker, in trace order.
-// The remainder of an uneven split lands on the earliest workers so
-// ranges never differ by more than one chunk.
-std::vector<std::pair<size_t, size_t>> PartitionChunks(size_t chunk_count, size_t jobs) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  ranges.reserve(jobs);
-  const size_t base = chunk_count / jobs;
-  const size_t extra = chunk_count % jobs;
-  size_t begin = 0;
-  for (size_t w = 0; w < jobs; ++w) {
-    const size_t take = base + (w < extra ? 1 : 0);
-    ranges.emplace_back(begin, begin + take);
-    begin += take;
-  }
-  return ranges;
 }
 
 size_t EffectiveJobs(size_t requested, size_t chunk_count) {
@@ -180,22 +165,46 @@ PipelineStats MergeAndPublish(std::vector<WorkerState>& workers,
   return stats;
 }
 
-}  // namespace
-
-bool PipelineRunner::Run(const TraceChunkReader& reader,
-                         const std::vector<std::unique_ptr<AnalysisPass>>& passes,
-                         TraceReadError* error) {
-  const size_t chunk_count = reader.chunk_count();
-  const size_t jobs = EffectiveJobs(options_.jobs, chunk_count);
-  const auto ranges = PartitionChunks(chunk_count, jobs);
-
+// The fan-out both Run overloads share: forks every pass once per worker,
+// drains worker w's contiguous chunk range on participant w of one
+// WorkerPool, then merges the forks back in trace order and publishes the
+// run's counters into `*stats`. On a failed drain returns false with the
+// first failed worker's error in `*error` when given.
+bool FanOutAndMerge(const PipelineOptions& options, size_t chunk_count,
+                    const std::vector<std::unique_ptr<AnalysisPass>>& passes, bool columnar,
+                    const std::function<void(size_t, size_t, WorkerState*)>& drain,
+                    PipelineStats* stats, TraceReadError* error) {
+  const size_t jobs = EffectiveJobs(options.jobs, chunk_count);
+  // Job w drains chunks [begin(w), begin(w + 1)): contiguous ranges in
+  // trace order, the remainder of an uneven split on the earliest jobs.
+  const auto begin = [&](size_t w) {
+    return w * (chunk_count / jobs) + std::min(w, chunk_count % jobs);
+  };
   std::vector<WorkerState> workers(jobs);
   for (WorkerState& w : workers) {
     w.passes = ForkAll(passes);
   }
 
   const uint64_t started = obs::ProbeClockNow();
+  WorkerPool(jobs).Run(jobs, [&](size_t w) { drain(begin(w), begin(w + 1), &workers[w]); });
 
+  for (const WorkerState& w : workers) {
+    if (w.failed) {
+      if (error != nullptr) {
+        *error = w.error;
+      }
+      return false;
+    }
+  }
+  *stats = MergeAndPublish(workers, passes, started, options.stats_label, columnar);
+  return true;
+}
+
+}  // namespace
+
+bool PipelineRunner::Run(const TraceChunkReader& reader,
+                         const std::vector<std::unique_ptr<AnalysisPass>>& passes,
+                         TraceReadError* error) {
   // Empty when any pass needs the full trace; otherwise one predicate per
   // pass, consulted against each chunk's zone map before decoding.
   const std::vector<const Predicate*> predicates =
@@ -204,7 +213,7 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
   // some pass declared it reads (v2 cursors ignore the mask).
   const uint16_t field_mask = UnionFields(passes);
 
-  auto drain = [&reader, &predicates, field_mask](const std::pair<size_t, size_t>& range,
+  auto drain = [&reader, &predicates, field_mask](size_t begin, size_t end,
                                                   WorkerState* state) {
     TraceChunkReader::Cursor cursor = reader.MakeCursor();
     if (!cursor.ok()) {
@@ -212,7 +221,7 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
       state->error = cursor.error();
       return;
     }
-    for (size_t i = range.first; i < range.second; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const TraceChunkReader::ChunkRef& ref = reader.chunk(i);
       if (SkipChunk(predicates, ref.zone)) {
         ++state->chunks_skipped;
@@ -232,32 +241,8 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
       }
     }
   };
-
-  if (jobs == 1) {
-    drain(ranges[0], &workers[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back(drain, ranges[w], &workers[w]);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-
-  for (const WorkerState& w : workers) {
-    if (w.failed) {
-      if (error != nullptr) {
-        *error = w.error;
-      }
-      return false;
-    }
-  }
-
-  stats_ = MergeAndPublish(workers, passes, started, options_.stats_label,
-                           reader.version() == kTraceFileVersionColumnar);
-  return true;
+  return FanOutAndMerge(options_, reader.chunk_count(), passes,
+                        reader.version() == kTraceFileVersionColumnar, drain, &stats_, error);
 }
 
 void PipelineRunner::Run(std::span<const TraceRecord> records,
@@ -267,19 +252,8 @@ void PipelineRunner::Run(std::span<const TraceRecord> records,
     chunk_records = kDefaultChunkRecords;
   }
   const size_t chunk_count = (records.size() + chunk_records - 1) / chunk_records;
-  const size_t jobs = EffectiveJobs(options_.jobs, chunk_count);
-  const auto ranges = PartitionChunks(chunk_count, jobs);
-
-  std::vector<WorkerState> workers(jobs);
-  for (WorkerState& w : workers) {
-    w.passes = ForkAll(passes);
-  }
-
-  const uint64_t started = obs::ProbeClockNow();
-
-  auto drain = [records, chunk_records](const std::pair<size_t, size_t>& range,
-                                        WorkerState* state) {
-    for (size_t i = range.first; i < range.second; ++i) {
+  auto drain = [records, chunk_records](size_t begin, size_t end, WorkerState* state) {
+    for (size_t i = begin; i < end; ++i) {
       const size_t first = i * static_cast<size_t>(chunk_records);
       const size_t count = std::min<size_t>(chunk_records, records.size() - first);
       const std::span<const TraceRecord> chunk = records.subspan(first, count);
@@ -291,22 +265,8 @@ void PipelineRunner::Run(std::span<const TraceRecord> records,
       }
     }
   };
-
-  if (jobs == 1) {
-    drain(ranges[0], &workers[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back(drain, ranges[w], &workers[w]);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-
-  stats_ = MergeAndPublish(workers, passes, started, options_.stats_label,
-                           /*columnar=*/false);
+  FanOutAndMerge(options_, chunk_count, passes, /*columnar=*/false, drain, &stats_,
+                 /*error=*/nullptr);
 }
 
 }  // namespace tempo

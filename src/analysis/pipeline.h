@@ -1,10 +1,11 @@
 // PipelineRunner: parallel, streaming execution of AnalysisPasses.
 //
 // The runner partitions a trace's chunks into contiguous ranges, one per
-// worker thread; each worker streams its range through private forks of
-// every pass, and the partial states are merged back in trace order. The
-// ordered-merge contract of pass.h then guarantees results — including
-// rendered text — byte-identical to a serial run, for any worker count.
+// job, and streams range w through private forks of every pass on
+// participant w of a WorkerPool (the caller plus jobs - 1 pool threads);
+// the partial states are merged back in trace order. The ordered-merge
+// contract of pass.h then guarantees results — including rendered text —
+// byte-identical to a serial run, for any job count.
 //
 // Two inputs are supported: a TraceChunkReader (the streaming file path;
 // each worker gets its own cursor and the trace is never materialized)
@@ -21,8 +22,8 @@
 // Observability: the runner publishes per-run counters to the global
 // obs registry (records/bytes/chunks fanned through the pipeline, worker
 // count, total cycles, and per-pass merge cycles). The probe clock is
-// only ever read from the calling thread — worker threads keep plain
-// integer tallies — so the runner stays data-race-free (and deterministic
+// only ever read outside the fan-out — the jobs keep plain integer
+// tallies — so the runner stays data-race-free (and deterministic
 // under tempostat's virtual probe clock) no matter what clock is
 // installed.
 

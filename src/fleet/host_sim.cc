@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/fleet/wire.h"
+#include "src/sim/worker_pool.h"
 
 namespace tempo {
 namespace fleet {
@@ -199,44 +200,27 @@ FleetRunResult RunFleet(const FleetRunOptions& options) {
   }
   threads = std::max<size_t>(1, std::min(threads, slots.size()));
 
-  // Lockstep rounds: every host advances to `t` and publishes; joining the
-  // round's workers orders each host's state for whichever worker drives
-  // it next round.
-  const auto round = [&](SimTime t, bool last) {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const size_t chunk = (slots.size() + threads - 1) / threads;
-    for (size_t w = 0; w < threads; ++w) {
-      const size_t begin = w * chunk;
-      const size_t end = std::min(slots.size(), begin + chunk);
-      if (begin >= end) {
-        break;
-      }
-      workers.emplace_back([&, begin, end, t, last] {
-        for (size_t i = begin; i < end; ++i) {
-          Slot& slot = slots[i];
-          slot.host->AdvanceTo(t);
-          if (last) {
-            slot.host->Finish();
-          }
-          if (slot.alive) {
-            slot.alive = slot.host->Publish(slot.sink.get());
-          }
-          if (last && slot.sink != nullptr) {
-            slot.sink->Close();
-          }
-        }
-      });
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-  };
-
+  // Host i is always driven by pool participant i % threads. Each lockstep
+  // round every host advances to `t` and publishes; Run's completion orders
+  // each host's state before after_round and the next round.
+  WorkerPool pool(threads);
   SimTime t = 0;
   while (t < options.duration) {
     t = std::min<SimTime>(t + options.publish_period, options.duration);
-    round(t, t == options.duration);
+    const bool last = t == options.duration;
+    pool.Run(slots.size(), [&](size_t i) {
+      Slot& slot = slots[i];
+      slot.host->AdvanceTo(t);
+      if (last) {
+        slot.host->Finish();
+      }
+      if (slot.alive) {
+        slot.alive = slot.host->Publish(slot.sink.get());
+      }
+      if (last && slot.sink != nullptr) {
+        slot.sink->Close();
+      }
+    });
     if (options.after_round) {
       options.after_round(t);
     }

@@ -10,10 +10,11 @@
 // pipeline; nothing is shared between hosts except the transport they
 // publish into.
 //
-// RunFleet drives K hosts in lockstep publish rounds across a small worker
-// pool: each round every host advances its virtual clock by one publish
-// period and emits a summary, so a collector on the other side of the
-// transport sees a fleet of hosts that agree on time to within a round.
+// RunFleet drives K hosts in lockstep publish rounds on one WorkerPool
+// (src/sim/worker_pool.h): each round every host advances its virtual
+// clock by one publish period and emits a summary, so a collector on the
+// other side of the transport sees a fleet of hosts that agree on time to
+// within a round.
 
 #ifndef TEMPO_SRC_FLEET_HOST_SIM_H_
 #define TEMPO_SRC_FLEET_HOST_SIM_H_
@@ -117,7 +118,8 @@ struct FleetRunOptions {
   SimDuration duration = 8 * kSecond;
   SimDuration publish_period = 500 * kMillisecond;
   uint64_t seed = 1;
-  // Worker threads driving hosts each round; 0 picks a small default.
+  // Width of the one WorkerPool that drives hosts for the whole run,
+  // counting the caller's thread; 0 picks min(hardware threads, 8).
   size_t threads = 0;
   std::string host_prefix = "desktop-";
   HostWorkloadShape shape;

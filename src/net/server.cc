@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 #include <type_traits>
 #include <utility>
+
+#include "src/sim/worker_pool.h"
 
 namespace tempo {
 
@@ -323,24 +324,14 @@ C10MReport C10MServer::Finish() {
   return report;
 }
 
-C10MReport C10MServer::Run() {
+C10MReport C10MServer::Run() { return RunLanes(1); }
+
+C10MReport C10MServer::RunThreaded() { return RunLanes(lanes_.size()); }
+
+C10MReport C10MServer::RunLanes(size_t width) {
   // Lanes are fully independent, so running them to completion one after
   // another is indistinguishable from interleaving them tick by tick.
-  for (Lane& lane : lanes_) {
-    RunLane(lane);
-  }
-  return Finish();
-}
-
-C10MReport C10MServer::RunThreaded() {
-  std::vector<std::thread> threads;
-  threads.reserve(lanes_.size());
-  for (Lane& lane : lanes_) {
-    threads.emplace_back([this, &lane] { RunLane(lane); });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
+  WorkerPool(width).Run(lanes_.size(), [this](size_t i) { RunLane(lanes_[i]); });
   return Finish();
 }
 

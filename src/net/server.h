@@ -24,7 +24,7 @@
 //   * Lane partitioning: connections are split into `lanes` disjoint
 //     ranges, lane i owning shard i of the TimerService, its own Rng and
 //     its own counters. Lanes never touch each other's state, which makes
-//     Run() (serial) and RunThreaded() (one thread per lane) produce
+//     Run() (serial) and RunThreaded() (one pool thread per lane) produce
 //     bit-identical reports — the determinism proof the tests lean on.
 //
 // Reschedule is the hot verb: every touch of a connection re-arms its
@@ -110,7 +110,8 @@ class C10MServer {
   // Runs the scenario lane by lane on the calling thread.
   C10MReport Run();
 
-  // Runs the scenario with one thread per lane. Identical report to Run().
+  // Runs the scenario on a WorkerPool with one participant per lane.
+  // Identical report to Run().
   C10MReport RunThreaded();
 
   // The underlying service, for inspection between construction and Run.
@@ -161,6 +162,8 @@ class C10MServer {
   void DrainFired(Lane& lane, SimTime now);
   void WorkloadTick(Lane& lane, SimTime now);
   void RunLane(Lane& lane);
+  // Run and RunThreaded: every lane on a `width`-wide WorkerPool.
+  C10MReport RunLanes(size_t width);
   C10MReport Finish();
 
   C10MOptions options_;

@@ -92,7 +92,7 @@ void ClockDomain::StepOne() {
 
 void ClockDomain::ExecuteWindow(SimTime limit) {
   // NextTime() returns kNeverTime on an empty queue, which never compares
-  // <= limit (limit < kNeverTime by construction in RunWindows).
+  // <= limit (limit < kNeverTime by construction in RunUntilParallel).
   while (queue_.NextTime() <= limit) {
     StepOne();
   }

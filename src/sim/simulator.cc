@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "src/obs/probe.h"
+#include "src/sim/worker_pool.h"
 
 namespace tempo {
 
@@ -147,37 +145,11 @@ void Simulator::RunLegacy(SimTime deadline) {
   FinishCpus();
 }
 
-void Simulator::Run() {
-  if (domains_.size() == 1) {
-    RunLegacy(kNeverTime);
-    return;
-  }
-  RunWindows(kNeverTime, 1);
-}
+void Simulator::Run() { RunUntilParallel(kNeverTime, 1); }
 
-void Simulator::RunUntil(SimTime deadline) {
-  if (domains_.size() == 1) {
-    RunLegacy(deadline);
-    return;
-  }
-  RunWindows(deadline, 1);
-}
+void Simulator::RunUntil(SimTime deadline) { RunUntilParallel(deadline, 1); }
 
-void Simulator::RunParallel(size_t threads) {
-  if (domains_.size() == 1) {
-    RunLegacy(kNeverTime);
-    return;
-  }
-  RunWindows(kNeverTime, threads == 0 ? domains_.size() : threads);
-}
-
-void Simulator::RunUntilParallel(SimTime deadline, size_t threads) {
-  if (domains_.size() == 1) {
-    RunLegacy(deadline);
-    return;
-  }
-  RunWindows(deadline, threads == 0 ? domains_.size() : threads);
-}
+void Simulator::RunParallel(size_t threads) { RunUntilParallel(kNeverTime, threads); }
 
 size_t Simulator::DeliverMailboxes() {
   struct Delivery {
@@ -210,102 +182,17 @@ size_t Simulator::DeliverMailboxes() {
   return all.size();
 }
 
-namespace {
-
-// Barrier-style worker pool: the coordinator publishes one window limit per
-// generation, workers execute their (static, round-robin) share of the
-// domains, the coordinator waits for all of them. The mutex hand-offs give
-// the barrier the happens-before edges the domain state needs.
-class WindowPool {
- public:
-  // `exec` runs one domain up to the window limit; it must be callable
-  // concurrently for distinct domain indices.
-  WindowPool(size_t domain_count, size_t threads,
-             std::function<void(size_t, SimTime)> exec)
-      : exec_(std::move(exec)),
-        domain_count_(domain_count),
-        worker_count_(std::min(threads, domain_count)) {
-    workers_.reserve(worker_count_);
-    for (size_t w = 0; w < worker_count_; ++w) {
-      workers_.emplace_back([this, w] { WorkerLoop(w); });
-    }
+void Simulator::RunUntilParallel(SimTime deadline, size_t threads) {
+  if (domains_.size() == 1) {
+    RunLegacy(deadline);
+    return;
   }
-
-  WindowPool(const WindowPool&) = delete;
-  WindowPool& operator=(const WindowPool&) = delete;
-
-  ~WindowPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
-
-  // Executes every domain up to `limit`; returns once all are done.
-  void RunWindow(SimTime limit) {
-    std::unique_lock<std::mutex> lock(mu_);
-    limit_ = limit;
-    pending_ = worker_count_;
-    ++generation_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  void WorkerLoop(size_t id) {
-    uint64_t seen = 0;
-    while (true) {
-      SimTime limit;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (shutdown_) {
-          return;
-        }
-        limit = limit_;
-      }
-      for (size_t d = id; d < domain_count_; d += worker_count_) {
-        exec_(d, limit);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) {
-          done_cv_.notify_one();
-        }
-      }
-    }
-  }
-
-  const std::function<void(size_t, SimTime)> exec_;
-  const size_t domain_count_;
-  const size_t worker_count_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;
-  size_t pending_ = 0;
-  SimTime limit_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
-}  // namespace
-
-void Simulator::RunWindows(SimTime deadline, size_t threads) {
   stop_.store(false, std::memory_order_relaxed);
   const bool drain = deadline == kNeverTime;
-  std::unique_ptr<WindowPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<WindowPool>(
-        domains_.size(), threads,
-        [this](size_t d, SimTime limit) { domains_[d]->ExecuteWindow(limit); });
-  }
+  // The windowed driver every multi-CPU run shares. Domains are tasks: the
+  // pool's static round-robin keeps each domain on one participant for the
+  // whole run, and width 1 executes the windows inline in domain order.
+  WorkerPool pool(threads == 0 ? domains_.size() : std::min(threads, domains_.size()));
   while (!stop_.load(std::memory_order_relaxed)) {
     DeliverMailboxes();
     SimTime t = kNeverTime;
@@ -323,13 +210,7 @@ void Simulator::RunWindows(SimTime deadline, size_t threads) {
     if (!drain) {
       limit = std::min(limit, deadline);
     }
-    if (pool != nullptr) {
-      pool->RunWindow(limit);
-    } else {
-      for (auto& d : domains_) {
-        d->ExecuteWindow(limit);
-      }
-    }
+    pool.Run(domains_.size(), [this, limit](size_t d) { domains_[d]->ExecuteWindow(limit); });
   }
   if (!drain && !stop_.load(std::memory_order_relaxed)) {
     for (auto& d : domains_) {

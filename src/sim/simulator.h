@@ -11,7 +11,7 @@
 // Options::cpus = N the simulator owns N ClockDomains and advances them in
 // conservative windows of `lookahead` virtual nanoseconds. Within a window
 // every domain only touches domain-local state, so the windows can run on
-// worker threads (RunParallel / RunUntilParallel); cross-domain events go
+// a WorkerPool (RunParallel / RunUntilParallel); cross-domain events go
 // through each domain's mailbox with latency >= lookahead and are merged
 // at the barrier in a deterministic order. A threaded run is byte-identical
 // to the serial run of the same seed — parallelism never costs determinism.
@@ -128,8 +128,8 @@ class Simulator {
   // Runs for `duration` more virtual time.
   void RunFor(SimDuration duration) { RunUntil(Now() + duration); }
 
-  // Threaded equivalents: advance the domains on `threads` worker threads
-  // (0 = one per domain), window by window. Produce byte-identical results
+  // Threaded equivalents: advance the domains on a WorkerPool `threads`
+  // wide, the caller included (0 = one per domain), window by window. Produce byte-identical results
   // to Run()/RunUntil() for the same seed. Events executing concurrently
   // belong to different domains and must only touch domain-local state
   // (their domain's clock/RNG/Cpu and structures pinned to that domain).
@@ -154,11 +154,6 @@ class Simulator {
 
  private:
   friend class ClockDomain;
-
-  // Windowed driver shared by the serial and threaded multi-CPU paths.
-  // `deadline` == kNeverTime means run to drain. `threads` == 1 executes
-  // windows inline in domain-index order.
-  void RunWindows(SimTime deadline, size_t threads);
 
   // Moves every outbox entry into its target domain's queue, in
   // (delivery time, sender index, send order) order. Returns the number

@@ -409,17 +409,51 @@ inline const uint8_t* NextVarint(const uint8_t* p, const uint8_t* end, uint64_t*
                                             : wire::GetVarint(p, end, v);
 }
 
+// Walks an RLE stripe's (value, run) pairs, filling `values` unless it is
+// null: every run must be nonzero and the runs must total exactly `count`.
+ChunkParse WalkRuns(const uint8_t* p, const uint8_t* end, size_t count, uint64_t* values) {
+  size_t filled = 0;
+  while (filled < count) {
+    uint64_t value = 0;
+    uint64_t run = 0;
+    p = NextVarint(p, end, &value);
+    if (p != nullptr) {
+      p = NextVarint(p, end, &run);
+    }
+    if (p == nullptr) {
+      return ChunkParse::kTruncated;
+    }
+    if (run == 0 || run > count - filled) {
+      return ChunkParse::kCorrupt;
+    }
+    if (values != nullptr) {
+      std::fill_n(values + filled, static_cast<size_t>(run), value);
+    }
+    filled += static_cast<size_t>(run);
+  }
+  return p == end ? ChunkParse::kOk : ChunkParse::kCorrupt;
+}
+
 }  // namespace
 
 ChunkParse DecodeStripe(StripeCodec codec, const uint8_t* data, size_t size,
                         size_t count, std::vector<uint64_t>* out) {
+  const uint8_t* p = data;
+  const uint8_t* const end = data + size;
+  // `count` comes from the file header, so a stripe too short to hold it
+  // must fail before the lane is sized for it: every codec but RLE spends
+  // at least a byte a value, and RLE runs must total `count`.
+  const ChunkParse fits = codec == StripeCodec::kRle ? WalkRuns(p, end, count, nullptr)
+                          : count > size             ? ChunkParse::kTruncated
+                                                     : ChunkParse::kOk;
+  if (fits != ChunkParse::kOk) {
+    return fits;
+  }
   // Sized up front and written through a raw pointer: this is the decode
   // hot loop, and per-value push_back bounds checks cost more than the
   // whole varint parse.
   out->resize(count);
   uint64_t* values = out->data();
-  const uint8_t* p = data;
-  const uint8_t* const end = data + size;
   switch (codec) {
     case StripeCodec::kRaw: {
       if (size < count * 8) {
@@ -501,26 +535,8 @@ ChunkParse DecodeStripe(StripeCodec codec, const uint8_t* data, size_t size,
       }
       return p == end ? ChunkParse::kOk : ChunkParse::kCorrupt;
     }
-    case StripeCodec::kRle: {
-      size_t filled = 0;
-      while (filled < count) {
-        uint64_t value = 0;
-        uint64_t run = 0;
-        p = NextVarint(p, end, &value);
-        if (p != nullptr) {
-          p = NextVarint(p, end, &run);
-        }
-        if (p == nullptr) {
-          return ChunkParse::kTruncated;
-        }
-        if (run == 0 || run > count - filled) {
-          return ChunkParse::kCorrupt;
-        }
-        std::fill_n(values + filled, static_cast<size_t>(run), value);
-        filled += static_cast<size_t>(run);
-      }
-      return p == end ? ChunkParse::kOk : ChunkParse::kCorrupt;
-    }
+    case StripeCodec::kRle:
+      return WalkRuns(p, end, count, values);
   }
   return ChunkParse::kCodec;
 }
@@ -833,6 +849,9 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
     const BlockCodec* codec = GetBlockCodec(static_cast<BlockCodecId>(block_id));
     if (codec == nullptr) {
       return ChunkParse::kCodec;
+    }
+    if (raw_bytes > uint64_t{stored_bytes} * kBlockCodecMaxExpansion) {
+      return ChunkParse::kCorrupt;  // no stream this short decompresses that far
     }
     scratch->raw.resize(raw_bytes);
     if (!codec->Decompress(blob, blob_size, scratch->raw.data(), raw_bytes)) {

@@ -64,7 +64,8 @@ void EncodeStripe(std::span<const uint64_t> values, StripeCodec codec,
 StripeCodec EncodeStripeBest(std::span<const uint64_t> values, std::vector<uint8_t>* out);
 
 // Decodes exactly `count` values of a stripe encoded as `codec` from
-// [data, data + size). The stripe must consume `size` bytes exactly.
+// [data, data + size). The stripe must consume `size` bytes exactly. A
+// `count` the stripe bytes cannot hold fails before `out` is resized.
 ChunkParse DecodeStripe(StripeCodec codec, const uint8_t* data, size_t size,
                         size_t count, std::vector<uint64_t>* out);
 
@@ -77,6 +78,10 @@ enum class BlockCodecId : uint8_t {
   kNone = 0,
   kTempoLz = 1,
 };
+
+// The most raw bytes one compressed byte can stand for (a TempoLz length
+// byte adds at most 255 to a match); the reader rejects a larger claim.
+inline constexpr uint64_t kBlockCodecMaxExpansion = 255;
 
 class BlockCodec {
  public:

@@ -690,6 +690,56 @@ TEST(TraceV3Test, ChunkTruncationRejected) {
   }
 }
 
+// A chunk's record count comes from the file header (a u32), so a few
+// hostile bytes can claim millions of values. Each stripe codec must
+// reject a stripe too short for its claim before sizing the lane for it.
+TEST(TraceV3Test, ShortStripeClaimingHugeCountFailsBeforeSizingTheLane) {
+  constexpr size_t kClaimed = size_t{1} << 25;
+  std::vector<uint8_t> bytes;
+  wire::PutVarint(7, &bytes);
+  wire::PutVarint(1000, &bytes);  // as RLE: one run of 1000, far short of the claim
+  for (const StripeCodec codec : kAllStripeCodecs) {
+    std::vector<uint64_t> out;
+    EXPECT_NE(DecodeStripe(codec, bytes.data(), bytes.size(), kClaimed, &out),
+              ChunkParse::kOk)
+        << "codec " << static_cast<int>(codec);
+    EXPECT_LE(out.capacity(), bytes.size()) << "codec " << static_cast<int>(codec);
+  }
+}
+
+// The same claim through a whole chunk: a valid one-record chunk read as
+// if it held 2^25 records fails without any lane growing past the chunk.
+TEST(TraceV3Test, ChunkClaimingHugeRecordCountFailsBeforeSizingLanes) {
+  CallsiteRegistry callsites;
+  const auto records = MakeTrace(&callsites, 1);
+  std::vector<uint8_t> bytes;
+  ChunkZone zone;
+  EncodeV3Chunk(std::span<const TraceRecord>(records), BlockCodecId::kNone, &bytes, &zone);
+  V3DecodeScratch scratch;
+  std::vector<TraceRecord> back;
+  EXPECT_NE(DecodeV3Chunk(bytes.data(), bytes.size(), uint32_t{1} << 25, &scratch, &back),
+            ChunkParse::kOk);
+  for (const auto& lane : scratch.lanes) {
+    EXPECT_LE(lane.capacity(), bytes.size());
+  }
+  EXPECT_LE(back.capacity(), 1u);
+}
+
+// A TempoLz chunk header claiming 256 MiB of raw stripes from 16 stored
+// bytes is rejected before the raw buffer is sized for it.
+TEST(TraceV3Test, ChunkClaimingHugeRawSizeFailsBeforeSizingTheBuffer) {
+  constexpr uint32_t kStored = 16;
+  std::vector<uint8_t> bytes = {static_cast<uint8_t>(BlockCodecId::kTempoLz)};
+  wire::Put32(uint32_t{256} << 20, &bytes);  // raw_bytes
+  wire::Put32(kStored, &bytes);              // stored_bytes
+  bytes.resize(bytes.size() + kStored, 0);
+  V3DecodeScratch scratch;
+  std::vector<TraceRecord> back;
+  EXPECT_EQ(DecodeV3Chunk(bytes.data(), bytes.size(), 1, &scratch, &back),
+            ChunkParse::kCorrupt);
+  EXPECT_LE(scratch.raw.capacity(), kStored * kBlockCodecMaxExpansion);
+}
+
 TEST(TraceV3Test, FileRoundTripMatchesV2) {
   CallsiteRegistry callsites;
   const auto records = MakeTrace(&callsites, 3000);
